@@ -12,13 +12,24 @@
 //	ln P(k) = (m − k)·ln(λn/λo) − (λn − λo)·Σ_{j=k+1..m} x_j
 //
 // The detection statistic for a candidate new rate λn is max_k ln P(k); only
-// the suffix sums of the window are needed. On-line, the detector reads each
-// suffix sum in O(1) from the window's compensated prefix ring
-// (stats.Window.SuffixSum), filling a scratch once per check and sharing it
-// across all candidates — constant per-sample bookkeeping, no allocation.
-// Config.NaiveStats selects the reference O(m)-per-candidate backward-pass
-// recomputation instead (characterisation always uses the backward pass, so
-// thresholds are independent of the flag).
+// the suffix sums of the window are needed.
+//
+// Screened checks. Index the samples since the window's prefix origin by p,
+// let pre_p be the stream prefix before sample p, and N and P_N the sample
+// count and stream total. For candidate λc, with Lc = ln(λc/λo) and
+// δc = λc − λo, the suffix starting at p scores
+//
+//	ln P = N·Lc − δc·P_N + h_c(p),   h_c(p) = δc·pre_p − p·Lc
+//
+// so the detector keeps one monotone-deque sliding-window maximum of h_c per
+// candidate: amortised O(|Λ|) work per sample and O(|Λ|) per check to bound
+// every candidate's statistic. Only when some bound comes within a rounding
+// slack of its threshold — about 2 % of checks on the default fleet mix —
+// does the check run the exact O(n·|Λ|) scan, which reads each suffix sum in
+// O(1) from the window's compensated prefix ring (stats.Window.SuffixSum)
+// and alone produces every reported Detection. The screen changes the cost
+// of a check, never its result. Characterisation scores its null windows
+// with the reference backward pass (logLikelihoodMax).
 //
 // Off-line characterisation. For each (λo, λn) pair from the predefined rate
 // set Λ, windows are simulated under the null hypothesis (all m samples at
@@ -98,17 +109,6 @@ type Config struct {
 	// simulated windows, and one "threshold" trace event per rate ratio.
 	// It does not affect the computed thresholds.
 	Obs *obs.Obs
-	// NaiveStats selects the reference statistic path for on-line detection:
-	// at every check the window is materialised and each candidate's suffix
-	// sums are recomputed by a backward O(m) pass (the pre-optimisation
-	// code). The default (false) is the incremental path: the window's
-	// compensated prefix ring serves every suffix sum in O(1), computed once
-	// per check and shared across candidates, with no allocation. The two
-	// paths differ only at rounding level in the statistic; the root golden
-	// regression asserts full-run byte-identity between them. Off-line
-	// characterisation ignores this field (and the threshold cache therefore
-	// excludes it from its key).
-	NaiveStats bool
 }
 
 // DefaultConfig returns the paper's operating point: m = 100, check every
@@ -235,13 +235,13 @@ func logLikelihoodMax(values []float64, oldRate, newRate float64) (best float64,
 }
 
 // likelihoodMaxFromSuffixes is logLikelihoodMax with the suffix sums already
-// in hand: sufs[k] = Σ_{j=k+1..m} x_j. The forward scan with >= keeps the
-// largest k among tied maxima, matching the reference backward pass (which
-// keeps the first maximum it meets coming down from k = m-1).
-func likelihoodMaxFromSuffixes(sufs []float64, oldRate, newRate float64) (best float64, bestK int) {
+// in hand, sufs[k] = Σ_{j=k+1..m} x_j, and the candidate's constants
+// precomputed: logRatio = ln(λn/λo) and delta = λn − λo. The forward scan
+// with >= keeps the largest k among tied maxima, matching the reference
+// backward pass (which keeps the first maximum it meets coming down from
+// k = m-1).
+func likelihoodMaxFromSuffixes(sufs []float64, logRatio, delta float64) (best float64, bestK int) {
 	m := len(sufs)
-	logRatio := math.Log(newRate / oldRate)
-	delta := newRate - oldRate
 	best = math.Inf(-1)
 	bestK = m
 	for k := 0; k < m; k++ {
@@ -252,19 +252,6 @@ func likelihoodMaxFromSuffixes(sufs []float64, oldRate, newRate float64) (best f
 		}
 	}
 	return best, bestK
-}
-
-// suffixSums fills the detector's reusable scratch with the n suffix sums of
-// the current window, each an O(1) prefix-ring read.
-func (d *Detector) suffixSums(n int) []float64 {
-	if cap(d.sufs) < n {
-		d.sufs = make([]float64, n)
-	}
-	sufs := d.sufs[:n]
-	for k := 0; k < n; k++ {
-		sufs[k] = d.window.SuffixSum(n - k)
-	}
-	return sufs
 }
 
 // Thresholds holds the characterised detection thresholds, keyed by rate
@@ -537,11 +524,50 @@ type Detection struct {
 	Refined bool
 }
 
+// candidate holds what a check needs about one candidate rate λc for one
+// current rate λo: Lc = ln(λc/λo), δc = λc − λo and the threshold.
+type candidate struct {
+	rate, logRatio, delta, threshold float64
+}
+
+// hpoint is one entry of a screen: a sample index p and
+// h_c(p) = δc·pre_p − p·Lc.
+type hpoint struct {
+	p int
+	h float64
+}
+
+// screen is one candidate's sliding-window maximum of h_c: a monotone deque,
+// h strictly decreasing from front to back, so buf[front] holds the maximum
+// over the samples in the window. The deque appends into a buffer twice the
+// window size and slides its live entries back to the start when the buffer
+// end is reached, so no index ever wraps.
+type screen struct {
+	buf         []hpoint
+	front, back int
+}
+
+// push appends (p, h) after dropping the front if it precedes oldest and
+// every back entry it dominates.
+func (q *screen) push(p int, h float64, oldest int) {
+	if q.front < q.back && q.buf[q.front].p < oldest {
+		q.front++
+	}
+	for q.back > q.front && q.buf[q.back-1].h <= h {
+		q.back--
+	}
+	if q.back == len(q.buf) {
+		q.back = copy(q.buf, q.buf[q.front:q.back])
+		q.front = 0
+	}
+	q.buf[q.back] = hpoint{p, h}
+	q.back++
+}
+
 // Detector performs on-line change detection over a stream of interarrival
 // or decoding times.
 type Detector struct {
 	cfg        Config
-	thresholds *Thresholds
 	window     *stats.Window
 	current    float64
 	sinceCheck int
@@ -549,10 +575,18 @@ type Detector struct {
 	// sinceDetect counts clean post-detection samples while refinement is
 	// active; -1 means no refinement pending.
 	sinceDetect int
-	// sufs is the per-check suffix-sum scratch of the incremental path:
-	// sufs[k] = Σ_{j=k+1..m} x_j, filled once per check from the window's
-	// O(1) prefix ring and shared by every candidate rate. Reused across
-	// checks, so the steady-state Observe path never allocates.
+	// table holds the candidates of every current rate: row i, of
+	// len(Rates)-1 entries in grid order, serves λo = Rates[i]. cands is the
+	// row of the current rate.
+	table, cands []candidate
+	// screens[j] tracks max h_c for cands[j]; next is the index p the next
+	// sample gets, counted from the oldest sample held at the last rebuild.
+	screens []screen
+	next    int
+	// sufs is the exact scan's suffix-sum scratch: sufs[k] = Σ_{j=k+1..m} x_j,
+	// filled once per scan from the window's O(1) prefix ring and shared by
+	// every candidate rate. Reused across scans, so Observe never allocates
+	// in the steady state.
 	sufs []float64
 
 	// Observability (nil when uninstrumented — the fast path).
@@ -564,7 +598,8 @@ type Detector struct {
 
 // NewDetector builds a detector starting from the given initial rate, which
 // is snapped to the candidate grid. The thresholds must come from
-// Characterise with the same Config.
+// Characterise with the same Config: a table that lacks a ratio of the
+// config's grid is rejected here rather than at the first check.
 func NewDetector(cfg Config, th *Thresholds, initialRate float64) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -579,13 +614,37 @@ func NewDetector(cfg Config, th *Thresholds, initialRate float64) (*Detector, er
 	if initialRate <= 0 {
 		return nil, fmt.Errorf("changepoint: initial rate must be positive, got %v", initialRate)
 	}
-	return &Detector{
+	k := len(cfg.Rates) - 1
+	table := make([]candidate, 0, len(cfg.Rates)*k)
+	for _, lo := range cfg.Rates {
+		for _, ln := range cfg.Rates {
+			if ln == lo {
+				continue
+			}
+			t, err := th.For(lo, ln)
+			if err != nil {
+				return nil, err
+			}
+			table = append(table, candidate{rate: ln, logRatio: math.Log(ln / lo), delta: ln - lo, threshold: t})
+		}
+	}
+	span := 2 * cfg.WindowSize
+	slab := make([]hpoint, k*span)
+	screens := make([]screen, k)
+	for j := range screens {
+		screens[j].buf = slab[j*span : (j+1)*span]
+	}
+	d := &Detector{
 		cfg:         cfg,
-		thresholds:  th,
 		window:      stats.NewWindow(cfg.WindowSize),
 		current:     SnapRate(cfg.Rates, initialRate),
 		sinceDetect: -1,
-	}, nil
+		table:       table,
+		screens:     screens,
+		sufs:        make([]float64, cfg.WindowSize),
+	}
+	d.rebuildScreens()
+	return d, nil
 }
 
 // Instrument attaches observability to the detector: detections and
@@ -630,8 +689,62 @@ func (d *Detector) Observed() int { return d.observed }
 func (d *Detector) SetRate(rate float64) {
 	d.current = SnapRate(d.cfg.Rates, rate)
 	d.window.Reset()
+	d.rebuildScreens()
 	d.sinceCheck = 0
 	d.sinceDetect = -1
+}
+
+// rebuildScreens selects the candidate row of the current rate and refills
+// every screen from the window's stored prefixes. It runs whenever λo
+// changes or the window is reset or trimmed.
+func (d *Detector) rebuildScreens() {
+	k := len(d.cfg.Rates) - 1
+	for i, r := range d.cfg.Rates {
+		if r == d.current {
+			d.cands = d.table[i*k : (i+1)*k]
+		}
+	}
+	for j := range d.screens {
+		d.screens[j].front, d.screens[j].back = 0, 0
+	}
+	d.next = 0
+	for i := 0; i < d.window.Len(); i++ {
+		d.pushScreens(d.window.PrefixAt(i))
+	}
+}
+
+// pushScreens enters the next sample, whose stream prefix before it is pre,
+// into every candidate's screen.
+func (d *Detector) pushScreens(pre float64) {
+	p := d.next
+	d.next++
+	oldest := d.next - d.window.Cap()
+	for j := range d.cands {
+		c := &d.cands[j]
+		d.screens[j].push(p, c.delta*pre-float64(p)*c.logRatio, oldest)
+	}
+}
+
+// bound returns candidate j's screened statistic and the rounding slack
+// around it. With N samples indexed since the last rebuild and stream total
+// P_N, the exact statistic is N·Lc − δc·P_N + max h_c up to rounding; the
+// slack exceeds the rounding difference between that grouping and the exact
+// scan's by many orders of magnitude.
+func (d *Detector) bound(j int) (s, slack float64) {
+	c, q := &d.cands[j], &d.screens[j]
+	a, b, h := float64(d.next)*c.logRatio, c.delta*d.window.Prefix(), q.buf[q.front].h
+	return a - b + h, 1e-9 * (math.Abs(a) + math.Abs(b) + math.Abs(h) + math.Abs(c.threshold) + 1)
+}
+
+// screenClear reports whether every candidate's bound, slack included, is at
+// or below its threshold, so that the exact scan would find nothing.
+func (d *Detector) screenClear() bool {
+	for j := range d.cands {
+		if s, slack := d.bound(j); s+slack > d.cands[j].threshold {
+			return false
+		}
+	}
+	return true
 }
 
 // Observe feeds one interarrival (or decoding) time. It returns a Detection
@@ -639,10 +752,25 @@ func (d *Detector) SetRate(rate float64) {
 // are rejected with a panic — they indicate a simulator bug, not a data
 // condition.
 func (d *Detector) Observe(x float64) (Detection, bool) {
+	if det, ok := d.advance(x); ok || !d.checkDue() || d.screenClear() {
+		return det, ok
+	}
+	best, found := d.scan()
+	if !found {
+		return Detection{}, false
+	}
+	return d.adopt(best), true
+}
+
+// advance enters one sample into the window and the screens and runs a due
+// refinement pass, returning its Detection when it adopts a new rate.
+func (d *Detector) advance(x float64) (Detection, bool) {
 	if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 		panic(fmt.Sprintf("changepoint: invalid sample %v", x))
 	}
+	pre := d.window.Prefix()
 	d.window.Push(x)
+	d.pushScreens(pre)
 	d.observed++
 	d.sinceCheck++
 	// Refinement after a recent detection (see Config.RefineAfter): every
@@ -690,95 +818,78 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 						d.window.Push(v)
 					}
 				}
+				d.rebuildScreens()
 				d.sinceCheck = 0
 				d.observeDetection(det)
 				return det, true
 			}
 		}
 	}
+	return Detection{}, false
+}
+
+// checkDue reports whether the statistic is evaluated on this sample and,
+// when it is, restarts the check cadence.
+func (d *Detector) checkDue() bool {
 	if d.window.Len() < d.cfg.MinWindow || d.sinceCheck < d.cfg.CheckInterval {
-		return Detection{}, false
+		return false
 	}
 	d.sinceCheck = 0
+	return true
+}
+
+// scan is the exact check: every candidate's max_k ln P(k) over the
+// window's suffix sums, each an O(1) prefix-ring read filled once and
+// shared across candidates. It returns the candidate with the largest
+// margin above its threshold, if any. It alone produces the Statistic,
+// ChangeOffset and MLERate of a threshold-crossing Detection.
+func (d *Detector) scan() (Detection, bool) {
+	n := d.window.Len()
+	sufs := d.suffixSums(n)
 	bestMargin := 0.0
 	var best Detection
-	var values []float64 // window contents; materialised lazily on the incremental path
 	found := false
-	if d.cfg.NaiveStats {
-		// Reference path: materialise the window and recompute every
-		// candidate's suffix sums with a backward pass.
-		values = d.window.Values()
-		for _, cand := range d.cfg.Rates {
-			if cand == d.current {
-				continue
+	for j := range d.cands {
+		c := &d.cands[j]
+		s, k := likelihoodMaxFromSuffixes(sufs, c.logRatio, c.delta)
+		if margin := s - c.threshold; s > c.threshold && margin > bestMargin {
+			var mle float64
+			if suf := sufs[k]; suf > 0 {
+				mle = float64(n-k) / suf
 			}
-			th, err := d.thresholds.For(d.current, cand)
-			if err != nil {
-				// Unreachable when thresholds match the config; fail loudly.
-				panic(err)
+			best = Detection{
+				OldRate:      d.current,
+				NewRate:      c.rate,
+				SampleIndex:  d.observed,
+				ChangeOffset: k,
+				Statistic:    s,
+				Threshold:    c.threshold,
+				MLERate:      mle,
 			}
-			s, k := logLikelihoodMax(values, d.current, cand)
-			if margin := s - th; s > th && margin > bestMargin {
-				suffix := values[k:]
-				mle := stats.MeanRate(suffix)
-				best = Detection{
-					OldRate:      d.current,
-					NewRate:      cand,
-					SampleIndex:  d.observed,
-					ChangeOffset: k,
-					Statistic:    s,
-					Threshold:    th,
-					MLERate:      mle,
-				}
-				bestMargin = margin
-				found = true
-			}
-		}
-	} else {
-		// Incremental path: every suffix sum is an O(1) read of the window's
-		// compensated prefix ring, filled once and shared across candidates —
-		// no allocation, no per-candidate re-summation.
-		n := d.window.Len()
-		sufs := d.suffixSums(n)
-		for _, cand := range d.cfg.Rates {
-			if cand == d.current {
-				continue
-			}
-			th, err := d.thresholds.For(d.current, cand)
-			if err != nil {
-				// Unreachable when thresholds match the config; fail loudly.
-				panic(err)
-			}
-			s, k := likelihoodMaxFromSuffixes(sufs, d.current, cand)
-			if margin := s - th; s > th && margin > bestMargin {
-				var mle float64
-				if suf := sufs[k]; suf > 0 {
-					mle = float64(n-k) / suf
-				}
-				best = Detection{
-					OldRate:      d.current,
-					NewRate:      cand,
-					SampleIndex:  d.observed,
-					ChangeOffset: k,
-					Statistic:    s,
-					Threshold:    th,
-					MLERate:      mle,
-				}
-				bestMargin = margin
-				found = true
-			}
+			bestMargin = margin
+			found = true
 		}
 	}
-	if !found {
-		return Detection{}, false
+	return best, found
+}
+
+// suffixSums fills the detector's scratch with the n suffix sums of the
+// current window, each an O(1) prefix-ring read.
+func (d *Detector) suffixSums(n int) []float64 {
+	sufs := d.sufs[:n]
+	for k := range sufs {
+		sufs[k] = d.window.SuffixSum(n - k)
 	}
-	if values == nil {
-		values = d.window.Values() // detections are rare; allocate only here
-	}
-	// Adopt the new rate and keep only the post-change samples. When the
-	// suffix is long enough for a meaningful estimate, the suffix MLE picks
-	// the grid rate — the threshold crossing says *that* the rate changed,
-	// the suffix mean says *to what*.
+	return sufs
+}
+
+// adopt accepts a threshold-crossing detection: it adopts the new rate,
+// keeps only the post-change samples and arms refinement. When the suffix
+// is long enough for a meaningful estimate, the suffix MLE picks the grid
+// rate — the threshold crossing says *that* the rate changed, the suffix
+// mean says *to what*.
+func (d *Detector) adopt(best Detection) Detection {
+	values := d.window.Values() // detections are rare; allocate only here
 	post := values[best.ChangeOffset:]
 	if len(post) >= 5 && best.MLERate > 0 {
 		if snapped := SnapRate(d.cfg.Rates, best.MLERate); snapped != d.current {
@@ -790,9 +901,10 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 	for _, v := range post {
 		d.window.Push(v)
 	}
+	d.rebuildScreens()
 	if d.cfg.RefineAfter > 0 {
 		d.sinceDetect = 0
 	}
 	d.observeDetection(best)
-	return best, true
+	return best
 }

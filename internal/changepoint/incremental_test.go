@@ -11,36 +11,25 @@ import (
 // testConfigSmall returns a cheap-but-valid config for equivalence tests.
 func testConfigSmall(t *testing.T) (Config, *Thresholds) {
 	t.Helper()
-	rates, err := GeometricRates(10, 40, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(rates)
-	cfg.CharacterisationWindows = 400
-	th, err := Characterise(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg, th
+	return gridThresholds(t, 10, 40, 4)
 }
 
-// TestIncrementalMatchesNaiveDetections drives the default incremental
-// detector and the NaiveStats reference detector through the same long
-// rate-switching stream and requires the identical detection sequence: same
-// detections at the same samples with the same adopted rates and change
-// offsets, statistics agreeing to rounding precision. This is the
-// detector-level equivalence test for the incremental-sum refactor (the
-// window-level one lives in internal/stats).
+// TestIncrementalMatchesNaiveDetections drives the production detector and
+// the ReferenceDetector oracle (O(m) backward-pass statistic at every check,
+// no screen) through the same long rate-switching stream and requires the
+// identical detection sequence: same detections at the same samples with the
+// same adopted rates and change offsets, statistics agreeing to rounding
+// precision. This is the detector-level equivalence test for the
+// incremental-sum and screening refactors (the window-level one lives in
+// internal/stats).
 func TestIncrementalMatchesNaiveDetections(t *testing.T) {
 	cfg, th := testConfigSmall(t)
-	naiveCfg := cfg
-	naiveCfg.NaiveStats = true
 
 	fast, err := NewDetector(cfg, th, cfg.Rates[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewDetector(naiveCfg, th, cfg.Rates[0])
+	slow, err := NewReferenceDetector(cfg, th, cfg.Rates[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +55,14 @@ func TestIncrementalMatchesNaiveDetections(t *testing.T) {
 		t.Fatalf("no detections over %d samples with %d rate switches — test is vacuous", sample, 40)
 	}
 	if len(fastDets) != len(slowDets) {
-		t.Fatalf("incremental path made %d detections, naive path %d", len(fastDets), len(slowDets))
+		t.Fatalf("production detector made %d detections, reference %d", len(fastDets), len(slowDets))
 	}
 	for i := range fastDets {
 		f, s := fastDets[i], slowDets[i]
 		if f.OldRate != s.OldRate || f.NewRate != s.NewRate ||
 			f.SampleIndex != s.SampleIndex || f.ChangeOffset != s.ChangeOffset ||
 			f.Refined != s.Refined || f.Threshold != s.Threshold {
-			t.Fatalf("detection %d diverged:\nincremental %+v\nnaive       %+v", i, f, s)
+			t.Fatalf("detection %d diverged:\nproduction %+v\nreference  %+v", i, f, s)
 		}
 		tol := 1e-9 * (1 + math.Abs(s.Statistic))
 		if math.Abs(f.Statistic-s.Statistic) > tol {
@@ -88,12 +77,12 @@ func TestIncrementalMatchesNaiveDetections(t *testing.T) {
 	}
 }
 
-// TestObserveSteadyStateDoesNotAllocate pins the incremental path's
-// allocation contract: a detector fed a stationary stream (no detections,
-// but checks firing every CheckInterval samples) performs zero allocations
-// per Observe once the suffix scratch has warmed up. The NaiveStats path
-// allocates a fresh window copy at every check — the cost the refactor
-// removes.
+// TestObserveSteadyStateDoesNotAllocate pins the detector's allocation
+// contract: fed a stationary stream (no detections, but checks firing every
+// CheckInterval samples), Observe performs zero allocations. The screens and
+// the suffix scratch are allocated once, in NewDetector; the reference
+// detector allocates a fresh window copy at every check — the cost the
+// incremental path removes.
 func TestObserveSteadyStateDoesNotAllocate(t *testing.T) {
 	cfg, th := testConfigSmall(t)
 	d, err := NewDetector(cfg, th, 20)

@@ -123,6 +123,21 @@ func (w *Window) SuffixSum(n int) float64 {
 	return (w.psum + w.pcomp) - w.pre[idx]
 }
 
+// Prefix returns the compensated stream prefix: the total of every
+// observation pushed since the last Reset. SuffixSum(n) is exactly
+// Prefix() - PrefixAt(Len()-n).
+func (w *Window) Prefix() float64 { return w.psum + w.pcomp }
+
+// PrefixAt returns the stream prefix recorded when the i-th stored
+// observation (0 being the oldest) was pushed: the total of everything
+// pushed since the last Reset and before it. It panics if out of range.
+func (w *Window) PrefixAt(i int) float64 {
+	if i < 0 || i >= w.count {
+		panic(fmt.Sprintf("stats: window index %d out of range [0,%d)", i, w.count))
+	}
+	return w.pre[(w.head+i)%len(w.buf)]
+}
+
 // Values returns the window contents oldest-first as a fresh slice.
 func (w *Window) Values() []float64 {
 	out := make([]float64, w.count)

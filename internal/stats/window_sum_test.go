@@ -105,3 +105,40 @@ func TestSuffixSumDoesNotAllocate(t *testing.T) {
 		t.Errorf("SuffixSum/Sum allocated %v times per run, want 0", avg)
 	}
 }
+
+// TestPrefixAccessorsMatchSuffixSum pins the contract the change-point
+// detector's screens rely on: every suffix sum is bit-for-bit the current
+// stream prefix minus the prefix recorded for the suffix's oldest sample,
+// across wrap-around and resets, and PrefixAt rejects out-of-range indices.
+func TestPrefixAccessorsMatchSuffixSum(t *testing.T) {
+	rng := NewRNG(5)
+	w := NewWindow(7)
+	for op := 0; op < 2000; op++ {
+		if rng.Intn(97) == 0 {
+			w.Reset()
+			if w.Prefix() != 0 {
+				t.Fatalf("op %d: prefix %v after Reset, want 0", op, w.Prefix())
+			}
+			continue
+		}
+		w.Push(rng.Exp(30))
+		for n := 1; n <= w.Len(); n++ {
+			if got, want := w.Prefix()-w.PrefixAt(w.Len()-n), w.SuffixSum(n); got != want {
+				t.Fatalf("op %d: Prefix()-PrefixAt(%d) = %v, SuffixSum(%d) = %v", op, w.Len()-n, got, n, want)
+			}
+		}
+		if w.PrefixAt(0) > w.PrefixAt(w.Len()-1) || w.PrefixAt(w.Len()-1) > w.Prefix() {
+			t.Fatalf("op %d: prefixes not monotone for non-negative samples", op)
+		}
+	}
+	for _, i := range []int{-1, w.Len()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PrefixAt(%d) on a window of %d did not panic", i, w.Len())
+				}
+			}()
+			w.PrefixAt(i)
+		}()
+	}
+}

@@ -14,8 +14,8 @@
 // (the per-ratio RNG stream assignment follows the grid's scan order, so
 // order matters). Fields that cannot change the result — CheckInterval,
 // MinWindow, RefineAfter, Workers (characterisation is bit-identical for any
-// worker count), Obs, NaiveStats — are deliberately excluded so they can
-// never cause a spurious miss.
+// worker count), Obs — are deliberately excluded so they can never cause a
+// spurious miss.
 //
 // # Storage and integrity
 //

@@ -241,7 +241,6 @@ func TestKeyCanonicalisation(t *testing.T) {
 	inert.CheckInterval = 1
 	inert.MinWindow = 5
 	inert.RefineAfter = 0
-	inert.NaiveStats = true
 	if k, _ := Key(inert); k != k0 {
 		t.Error("key depends on a field that cannot affect characterisation")
 	}
