@@ -650,16 +650,36 @@ func BenchmarkWindowPush(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceGeneration measures workload synthesis.
+// BenchmarkTraceGeneration measures workload synthesis for the fleet's three
+// traces: the MP3 sequence ACEFBD, the two MPEG clips, and the gapped mixed
+// schedule of Table 5.
 func BenchmarkTraceGeneration(b *testing.B) {
-	clips, err := workload.MP3Sequence("ACEFBD")
+	mp3, err := workload.MP3Sequence("ACEFBD")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		if _, err := workload.Generate(stats.NewRNG(uint64(i)+1), clips, workload.GenerateOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	mpeg := workload.MPEGClips()
+	cases := []struct {
+		name string
+		gen  func(seed uint64) (*workload.Trace, error)
+	}{
+		{"mp3", func(seed uint64) (*workload.Trace, error) {
+			return workload.Generate(stats.NewRNG(seed), mp3, workload.GenerateOptions{})
+		}},
+		{"mpeg", func(seed uint64) (*workload.Trace, error) {
+			return workload.Generate(stats.NewRNG(seed), mpeg, workload.GenerateOptions{})
+		}},
+		{"gapped", experiments.Table5Workload},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.gen(uint64(i) + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,10 @@ package stats
 
 import "math"
 
+// survivalSteps is the trapezoid step count of SurvivalIntegral, shared with
+// SurvivalIntegralBounds, whose error term depends on it.
+const survivalSteps = 4000
+
 // SurvivalIntegral computes ∫_a^b (1 − CDF(t)) dt for a distribution on the
 // non-negative reals, on a log-spaced grid (idle-time scales span many orders
 // of magnitude). b may be +Inf in spirit: pass a large bound; the tail where
@@ -9,6 +13,13 @@ import "math"
 // Used by the renewal-theory and TISMDP power-management policies, where
 // E[min(T,τ) − a | T > a] and residual lifetimes reduce to survival
 // integrals.
+//
+// The grid is a, a·r, a·r², … built by repeated multiplication, with
+// r = (b/a)^(1/4000) (a below zero is clamped to 0, and a = 0 starts the
+// grid at b·1e-9). Each grid point's survival is evaluated once and carried
+// into the next step. SurvivalIntegralBounds brackets the returned value
+// from closed forms, which lets callers that only compare integrals (the
+// renewal timeout search) skip the 4001 survival evaluations.
 func SurvivalIntegral(d Distribution, a, b float64) float64 {
 	if b <= a {
 		return 0
@@ -17,23 +28,32 @@ func SurvivalIntegral(d Distribution, a, b float64) float64 {
 		a = 0
 	}
 	surv := func(t float64) float64 { return 1 - d.CDF(t) }
-	const steps = 4000
+	lo, ratio := survivalGrid(a, b)
 	sum := 0.0
-	lo := a
-	if lo <= 0 {
+	if a <= 0 {
 		// Survival ≤ 1, so the [0, b·1e-9] sliver contributes at most b·1e-9;
 		// treat it as a rectangle at S(0).
-		lo = b * 1e-9
 		sum += surv(0) * lo
 	}
-	ratio := math.Pow(b/lo, 1/float64(steps))
-	t := lo
-	for i := 0; i < steps; i++ {
+	t, st := lo, surv(lo)
+	for i := 0; i < survivalSteps; i++ {
 		next := t * ratio
-		sum += (surv(t) + surv(next)) / 2 * (next - t)
-		t = next
+		sn := surv(next)
+		sum += (st + sn) / 2 * (next - t)
+		t, st = next, sn
 	}
 	return sum
+}
+
+// survivalGrid returns the first point and the ratio of SurvivalIntegral's
+// geometric grid on [a, b], 0 ≤ a < b: the grid starts at a, or at b·1e-9
+// when a is 0.
+func survivalGrid(a, b float64) (lo, ratio float64) {
+	lo = a
+	if lo <= 0 {
+		lo = b * 1e-9
+	}
+	return lo, math.Pow(b/lo, 1/float64(survivalSteps))
 }
 
 // TailBound returns a time beyond which the distribution's survival mass is

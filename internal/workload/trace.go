@@ -74,7 +74,7 @@ func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error
 	if len(clips) == 0 {
 		return nil, fmt.Errorf("workload: no clips to generate")
 	}
-	tr := &Trace{Kind: clips[0].Kind, Clips: clips}
+	tr := &Trace{Kind: clips[0].Kind, Clips: clips, Frames: make([]TraceFrame, 0, expectedFrames(clips))}
 	now := opts.LeadIn
 	if now < 0 {
 		return nil, fmt.Errorf("workload: negative lead-in %v", opts.LeadIn)
@@ -133,6 +133,28 @@ func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error
 	return tr, nil
 }
 
+// maxFrameHint caps Generate's up-front frame allocation (48 MiB of frames);
+// longer traces grow by append.
+const maxFrameHint = 1 << 20
+
+// expectedFrames returns a capacity for the frames Generate draws from clips:
+// the Poisson mean Σ duration·arrival rate plus four standard deviations and
+// a little slack, capped at maxFrameHint. Clips loaded from a file may hold
+// any values, so a hint that is not finite and positive gives 0.
+func expectedFrames(clips []Clip) int {
+	mean := 0.0
+	for _, c := range clips {
+		for _, s := range c.Segments {
+			mean += s.Duration * s.ArrivalRate
+		}
+	}
+	hint := mean + 4*math.Sqrt(mean) + 16
+	if !(hint > 0) || math.IsInf(hint, 1) {
+		return 0
+	}
+	return int(math.Min(hint, maxFrameHint))
+}
+
 // normalisedGOP scales a multiplier cycle so its mean is exactly 1,
 // preserving each segment's mean decode rate. A nil/empty GOP returns nil.
 func normalisedGOP(gop []float64) []float64 {
@@ -161,7 +183,7 @@ func StepTrace(rng *stats.RNG, rate1, rate2, decodeRateMax float64, n1, n2 int) 
 	if n1 <= 0 || n2 <= 0 {
 		return nil, fmt.Errorf("workload: step trace needs positive frame counts")
 	}
-	tr := &Trace{Kind: MP3}
+	tr := &Trace{Kind: MP3, Frames: make([]TraceFrame, 0, n1+n2)}
 	now := 0.0
 	add := func(rate float64, n int) {
 		tr.Changes = append(tr.Changes, RateChange{
