@@ -9,6 +9,7 @@
 package smartbadge
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -369,7 +370,7 @@ func BenchmarkAblationDPMPolicies(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol)
+				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -550,7 +551,7 @@ func BenchmarkAblationTwoLevelDPM(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol)
+				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -727,7 +728,7 @@ func BenchmarkReplicateParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.ReplicateWorkers(workers, replicas, uint64(i)+1, f); err != nil {
+				if _, err := experiments.Replicate(context.Background(), workers, replicas, uint64(i)+1, f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -813,7 +814,7 @@ func BenchmarkFleet(b *testing.B) {
 	runs := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(fleet.Config{
+		rep, err := fleet.RunCtx(context.Background(), fleet.Config{
 			Badges:   8,
 			Seed:     uint64(i) + 1,
 			Apps:     []string{"mp3"},

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +43,7 @@ func TestCrashHelper(t *testing.T) {
 		fmt.Fprintln(os.Stderr, "bad SWEEP_KILL_AFTER:", err)
 		os.Exit(1)
 	}
-	if err := run(io.Discard, fleetCrashConfig(os.Getenv("SWEEP_CKPT_DIR"), killAfter)); err != nil {
+	if err := run(context.Background(), io.Discard, fleetCrashConfig(os.Getenv("SWEEP_CKPT_DIR"), killAfter)); err != nil {
 		fmt.Fprintln(os.Stderr, "helper run:", err)
 		os.Exit(1)
 	}
@@ -55,7 +56,7 @@ func TestCrashHelper(t *testing.T) {
 // directory emits stdout byte-identical to a run that was never killed.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	var uninterrupted bytes.Buffer
-	if err := run(&uninterrupted, fleetCrashConfig("", 0)); err != nil {
+	if err := run(context.Background(), &uninterrupted, fleetCrashConfig("", 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,7 +85,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 	st.Close()
 
 	var resumed bytes.Buffer
-	if err := run(&resumed, fleetCrashConfig(dir, 0)); err != nil {
+	if err := run(context.Background(), &resumed, fleetCrashConfig(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != uninterrupted.String() {
@@ -97,12 +98,12 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 // a different seed must fail loudly, not silently mix two runs.
 func TestResumeRefusesOtherConfig(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := run(io.Discard, fleetCrashConfig(dir, 0)); err != nil {
+	if err := run(context.Background(), io.Discard, fleetCrashConfig(dir, 0)); err != nil {
 		t.Fatal(err)
 	}
 	other := fleetCrashConfig(dir, 0)
 	other.seed = 6
-	err := run(io.Discard, other)
+	err := run(context.Background(), io.Discard, other)
 	if !errors.Is(err, ckpt.ErrResumeMismatch) {
 		t.Fatalf("err = %v, want ErrResumeMismatch", err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	err := prof.WithCPUProfile(*cpuprofile, func() error {
-		return run(os.Stdout, sweepConfig{
+		return run(context.Background(), os.Stdout, sweepConfig{
 			what:          *what,
 			seed:          *seed,
 			probs:         *probs,
@@ -89,7 +89,7 @@ type sweepConfig struct {
 	ckptKillAfter int
 }
 
-func run(w io.Writer, sc sweepConfig) error {
+func run(ctx context.Context, w io.Writer, sc sweepConfig) error {
 	what, seed, workers := sc.what, sc.seed, sc.workers
 	probsFlag, faultsFlag, fleetN := sc.probs, sc.faults, sc.fleetN
 	cache, err := thrcache.Open(sc.thrCache)
@@ -112,7 +112,7 @@ func run(w io.Writer, sc sweepConfig) error {
 	switch strings.ToLower(what) {
 	case "pareto":
 		stop := o.Registry().Timer("sweep.pareto").Start()
-		points, err := experiments.ParetoFrontierWorkers(seed, workers)
+		points, err := experiments.ParetoFrontier(ctx, seed, workers)
 		stop()
 		if err != nil {
 			return err
@@ -138,7 +138,7 @@ func run(w io.Writer, sc sweepConfig) error {
 			return err
 		}
 		stop := o.Registry().Timer("sweep.wakeprob").Start()
-		points, err := experiments.WakeProbSweepWorkers(seed, probs, workers)
+		points, err := experiments.WakeProbSweep(ctx, seed, probs, workers)
 		stop()
 		if err != nil {
 			return err
@@ -161,7 +161,7 @@ func run(w io.Writer, sc sweepConfig) error {
 		return art.Close()
 	case "resilience":
 		stop := o.Registry().Timer("sweep.resilience").Start()
-		rows, err := experiments.ResilienceTable(seed, workers)
+		rows, err := experiments.ResilienceTable(ctx, seed, workers)
 		stop()
 		if err != nil {
 			return err
@@ -192,7 +192,6 @@ func run(w io.Writer, sc sweepConfig) error {
 			return fmt.Errorf("fleet sweep needs -fleet >= 1, got %d", fleetN)
 		}
 		fcfg := fleetConfigOf(sc)
-		var journal fleet.Journal
 		if sc.ckptDir != "" {
 			hash, err := fcfg.Hash()
 			if err != nil {
@@ -209,11 +208,11 @@ func run(w io.Writer, sc sweepConfig) error {
 				fmt.Fprintf(os.Stderr, "fleet: resuming from %s (%d restored, %d dropped, healed=%t)\n",
 					sc.ckptDir, st.Restored, st.Dropped, st.Healed)
 			}
-			journal = store
+			fcfg.Journal = store
 		}
 		stop := o.Registry().Timer("sweep.fleet").Start()
 		started := time.Now()
-		rep, err := fleet.RunResumeCtx(context.Background(), fcfg, journal)
+		rep, err := fleet.RunCtx(ctx, fcfg)
 		elapsed := time.Since(started)
 		stop()
 		if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -11,7 +12,7 @@ import (
 
 func TestRunPareto(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, sweepConfig{what: "pareto", seed: 1, thrCache: "off"}); err != nil {
+	if err := run(context.Background(), &buf, sweepConfig{what: "pareto", seed: 1, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -25,7 +26,7 @@ func TestRunPareto(t *testing.T) {
 
 func TestRunWakeProb(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off"}); err != nil {
+	if err := run(context.Background(), &buf, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -35,13 +36,13 @@ func TestRunWakeProb(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(io.Discard, sweepConfig{what: "bogus", seed: 1, thrCache: "off"}); err == nil {
+	if err := run(context.Background(), io.Discard, sweepConfig{what: "bogus", seed: 1, thrCache: "off"}); err == nil {
 		t.Error("unknown sweep accepted")
 	}
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "x", thrCache: "off"}); err == nil {
+	if err := run(context.Background(), io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "x", thrCache: "off"}); err == nil {
 		t.Error("bad probs accepted")
 	}
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "0", thrCache: "off"}); err == nil {
+	if err := run(context.Background(), io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "0", thrCache: "off"}); err == nil {
 		t.Error("zero probability accepted")
 	}
 }
@@ -50,10 +51,10 @@ func TestRunErrors(t *testing.T) {
 // is byte-identical whether the sweep runs serially or fanned out.
 func TestRunWakeProbWorkerCountInvariant(t *testing.T) {
 	var serial, fanned bytes.Buffer
-	if err := run(&serial, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 1, thrCache: "off"}); err != nil {
+	if err := run(context.Background(), &serial, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 1, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&fanned, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 4, thrCache: "off"}); err != nil {
+	if err := run(context.Background(), &fanned, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 4, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != fanned.String() {
@@ -67,10 +68,10 @@ func TestRunWakeProbWorkerCountInvariant(t *testing.T) {
 func TestRunFleet(t *testing.T) {
 	cacheDir := t.TempDir()
 	var serial, fanned bytes.Buffer
-	if err := run(&serial, sweepConfig{what: "fleet", seed: 5, workers: 1, fleetN: 4, thrCache: cacheDir}); err != nil {
+	if err := run(context.Background(), &serial, sweepConfig{what: "fleet", seed: 5, workers: 1, fleetN: 4, thrCache: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&fanned, sweepConfig{what: "fleet", seed: 5, workers: 4, fleetN: 4, thrCache: cacheDir}); err != nil {
+	if err := run(context.Background(), &fanned, sweepConfig{what: "fleet", seed: 5, workers: 4, fleetN: 4, thrCache: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != fanned.String() {
@@ -94,7 +95,7 @@ func TestRunFleet(t *testing.T) {
 	if comments != 3 {
 		t.Errorf("aggregate comment lines = %d, want 3", comments)
 	}
-	if err := run(io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, thrCache: "off"}); err == nil {
+	if err := run(context.Background(), io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, thrCache: "off"}); err == nil {
 		t.Error("zero-badge fleet accepted")
 	}
 }
@@ -105,7 +106,7 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	metrics := dir + "/sweep.metrics.json"
 	trace := dir + "/sweep.trace.jsonl"
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off", metricsOut: metrics, traceOut: trace}); err != nil {
+	if err := run(context.Background(), io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off", metricsOut: metrics, traceOut: trace}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(metrics)

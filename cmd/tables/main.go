@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,13 +23,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(strings.ToLower(*exp), *seed); err != nil {
+	if err := run(context.Background(), strings.ToLower(*exp), *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed uint64) error {
+func run(ctx context.Context, exp string, seed uint64) error {
 	all := exp == "all"
 	ran := false
 	out := func(s string) {
@@ -99,7 +100,7 @@ func run(exp string, seed uint64) error {
 		out(experiments.FormatTable5(rows))
 	}
 	if all || exp == "pareto" {
-		points, err := experiments.ParetoFrontier(seed)
+		points, err := experiments.ParetoFrontier(ctx, seed, 0)
 		if err != nil {
 			return err
 		}
@@ -113,15 +114,15 @@ func run(exp string, seed uint64) error {
 		out(experiments.FormatBreakdown(rows, names))
 	}
 	if exp == "replicated" { // too slow for "all"
-		factor, err := experiments.Table5FactorReplicated(seed, 5)
+		factor, err := experiments.Table5FactorReplicated(ctx, seed, 5)
 		if err != nil {
 			return err
 		}
-		saving, err := experiments.Table3SavingReplicated(seed, 5)
+		saving, err := experiments.Table3SavingReplicated(ctx, seed, 5)
 		if err != nil {
 			return err
 		}
-		excess, err := experiments.ChangePointExcessReplicated(seed, 5)
+		excess, err := experiments.ChangePointExcessReplicated(ctx, seed, 5)
 		if err != nil {
 			return err
 		}

@@ -3,11 +3,11 @@
 // internal/server) and must flow as a context.Context all the way down to
 // the shard loops that poll it between badges. Three rules:
 //
-//  1. Below the boundary, context.Background() and context.TODO() are
-//     banned: a fresh root context severs the caller's deadline. The one
-//     sanctioned idiom is the compat shim — a function F whose entire body
-//     is `return FCtx(context.Background(), ...)`, the documented
-//     no-cancellation entry point (parallel.ForEach, fleet.Run, ...).
+//  1. Below the boundary, context.Background and context.TODO are
+//     banned: a fresh root context severs the caller's deadline. There is
+//     no structural exemption; each entry point takes the caller's ctx,
+//     and a site with no caller context to take says why in a
+//     //lint:allow ctxflow directive.
 //  2. A function that receives a context must propagate it: calling F when
 //     the same package declares a context-capable FCtx drops the caller's
 //     deadline on the floor and is flagged.
@@ -73,9 +73,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			shim := isCompatShim(pass, fd)
-			hasCtx := declHasCtxParam(pass, fd)
-			checkFunc(pass, fd.Body, hasCtx, below && !shim, loopPkg, nil)
+			checkFunc(pass, fd.Body, declHasCtxParam(pass, fd), below, loopPkg, nil)
 		}
 	}
 	return nil
@@ -85,7 +83,7 @@ func run(pass *analysis.Pass) error {
 // function literals with the enclosing context availability and the
 // enclosing done-channel variables (a literal capturing `done := ctx.Done()`
 // observes the context through it). banRoot is whether rule 1 applies here
-// (below boundary, not a compat shim).
+// (below the boundary).
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, hasCtx, banRoot, loopPkg bool, outerDone map[types.Object]bool) {
 	doneVars := collectDoneVars(pass, body)
 	for obj := range outerDone {
@@ -121,7 +119,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, hasCtx, banRoot, loopPk
 			}
 			if fn := selectedFunc(pass, n); fn != nil && isRootCtx(fn) {
 				pass.Reportf(n.Pos(),
-					"context.%s below the serving boundary severs the caller's deadline; accept a ctx parameter (or use the documented `return FCtx(context.Background(), ...)` compat-shim idiom)",
+					"context.%s below the serving boundary severs the caller's deadline; accept a ctx parameter",
 					fn.Name())
 			}
 		}
@@ -268,25 +266,6 @@ func selectedFunc(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Func {
 func isRootCtx(fn *types.Func) bool {
 	return fn.Pkg() != nil && fn.Pkg().Path() == "context" &&
 		(fn.Name() == "Background" || fn.Name() == "TODO")
-}
-
-// isCompatShim recognises the sanctioned no-cancellation wrapper: a
-// function F whose whole body is one return of a single call to the
-// same-package, context-capable FCtx.
-func isCompatShim(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return false
-	}
-	call, ok := ret.Results[0].(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := callgraph.Callee(pass.TypesInfo, call)
-	return fn != nil && fn.Name() == fd.Name.Name+"Ctx" && hasCtxParamFn(fn)
 }
 
 // declHasCtxParam reports a context.Context parameter on fd.

@@ -19,14 +19,31 @@ func RunCtx(ctx context.Context, n int) error {
 	return nil
 }
 
-// Run is the sanctioned compat shim: single-statement Background forward to
-// the Ctx sibling. Not flagged.
+// Run is a context-free sibling of RunCtx. It creates no root context, so
+// it is not flagged itself; calling it while holding a ctx is (see
+// dropsSibling).
 func Run(n int) error {
-	return RunCtx(context.Background(), n)
+	for i := 0; i < n; i++ {
+		if err := step(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// rootBelowBoundary manufactures a fresh root context outside the shim
-// idiom.
+// Start forwards to its Ctx sibling with a fresh root context. A
+// one-statement shim is no exception to rule 1: it severs the caller's
+// deadline like any other root context.
+func Start(n int) error {
+	return StartCtx(context.Background(), n) // want `context\.Background below the serving boundary`
+}
+
+// StartCtx is Start's context-capable sibling.
+func StartCtx(ctx context.Context, n int) error {
+	return RunCtx(ctx, n)
+}
+
+// rootBelowBoundary manufactures a fresh root context.
 func rootBelowBoundary(n int) error {
 	ctx := context.Background() // want `context\.Background below the serving boundary`
 	return RunCtx(ctx, n)

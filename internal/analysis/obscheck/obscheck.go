@@ -1,15 +1,12 @@
-// Package obscheck enforces the observability layer's two discipline rules
-// outside internal/obs itself:
+// Package obscheck enforces the observability layer's handle-caching rule
+// outside internal/obs itself: instrument handles are resolved once, not in
+// loops. Calling Registry.Counter/Gauge/Histogram/Timer inside a loop body
+// re-does the map lookup per iteration, exactly what the handle-caching
+// design exists to avoid. End-of-run publication loops carry //lint:allow.
 //
-//  1. obs struct fields are never read directly — always through the
-//     nil-safe accessor methods (Obs.Registry(), Obs.Tracer(), Counter.Value()
-//     ...). Direct reads bypass the nil checks that make the disabled path
-//     free and crash-proof; writes are allowed because wiring an Obs up
-//     (o.Metrics = reg) is construction, not instrumentation.
-//  2. Instrument handles are resolved once, not in loops: calling
-//     Registry.Counter/Gauge/Histogram/Timer inside a loop body re-does the
-//     map lookup per iteration, exactly what the handle-caching design
-//     exists to avoid. End-of-run publication loops carry //lint:allow.
+// Nil-safe access to the sinks needs no analyzer: obs.Obs keeps its
+// registry and tracer unexported behind obs.New, so the accessors are the
+// only way in.
 package obscheck
 
 import (
@@ -23,7 +20,7 @@ import (
 // Analyzer is the obscheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "obscheck",
-	Doc:  "require nil-safe access to obs handles and hoist instrument construction out of loops",
+	Doc:  "hoist obs instrument construction out of loops",
 	Run:  run,
 }
 
@@ -38,42 +35,9 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		checkFieldReads(pass, f)
 		checkLoopConstruction(pass, f)
 	}
 	return nil
-}
-
-// checkFieldReads flags selector expressions that read a field of a struct
-// defined in internal/obs. Assignment targets are exempt.
-func checkFieldReads(pass *analysis.Pass, f *ast.File) {
-	assigned := make(map[ast.Expr]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			for _, lhs := range as.Lhs {
-				assigned[lhs] = true
-			}
-		}
-		return true
-	})
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || assigned[sel] {
-			return true
-		}
-		selection, ok := pass.TypesInfo.Selections[sel]
-		if !ok || selection.Kind() != types.FieldVal {
-			return true
-		}
-		field := selection.Obj()
-		if field.Pkg() == nil || !strings.HasSuffix(field.Pkg().Path(), "internal/obs") {
-			return true
-		}
-		pass.Reportf(sel.Pos(),
-			"direct read of obs field %s bypasses the nil-safe accessors; use the accessor method instead",
-			field.Name())
-		return true
-	})
 }
 
 // checkLoopConstruction flags instrument-handle resolution inside for/range

@@ -1,23 +1,18 @@
-// Package obsuse is obscheck's golden package: obs handles are read only
-// through nil-safe accessors, and instrument handles are resolved outside
-// loops.
+// Package obsuse is obscheck's golden package: instrument handles are
+// resolved outside loops.
 package obsuse
 
 import "smartbadge/internal/obs"
 
-// wire constructs and assigns obs fields: writes are allowed.
-func wire(reg *obs.Registry, tr *obs.Tracer) *obs.Obs {
-	o := &obs.Obs{Metrics: reg, Trace: tr}
-	o.Metrics = reg
-	return o
-}
-
-func directRead(o *obs.Obs) *obs.Registry {
-	return o.Metrics // want `direct read of obs field Metrics`
-}
-
-func accessorRead(o *obs.Obs) (*obs.Registry, *obs.Tracer) {
+func accessorRead(reg *obs.Registry, tr *obs.Tracer) (*obs.Registry, *obs.Tracer) {
+	o := obs.New(reg, tr)
 	return o.Registry(), o.Tracer()
+}
+
+// snapshotRead reads the exported fields of a plain obs data type. There is
+// no accessor to bypass, so nothing is flagged.
+func snapshotRead(reg *obs.Registry) map[string]float64 {
+	return reg.Snapshot().Counters
 }
 
 func inLoop(reg *obs.Registry, xs []float64) {

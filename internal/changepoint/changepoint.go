@@ -49,6 +49,7 @@
 package changepoint
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -320,7 +321,8 @@ func characterise(cfg Config, keepHistograms bool) (*Thresholds, map[float64]*st
 	}
 	stop := cfg.Obs.Registry().Timer("changepoint.characterise").Start()
 	base := stats.NewRNG(cfg.Seed)
-	hs, err := parallel.Map(cfg.Workers, len(ratios), func(i int) (*stats.Histogram, error) {
+	//lint:allow ctxflow characterisation is a single-flight cache fill with no caller context: the one non-cancellable stage
+	hs, err := parallel.Map(context.Background(), cfg.Workers, len(ratios), func(i int) (*stats.Histogram, error) {
 		return characteriseRatio(base.SplitAt(uint64(i)), ratios[i], cfg)
 	})
 	stop()

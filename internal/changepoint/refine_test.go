@@ -24,7 +24,7 @@ func TestRefineAdoptsAndTrimsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traceBuf bytes.Buffer
-	o := &obs.Obs{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(&traceBuf)}
+	o := obs.New(obs.NewRegistry(), obs.NewTracer(&traceBuf))
 	d.Instrument(o, "arrival")
 
 	// 30 samples at the current rate (gap 1/20), then pretend a detection
@@ -74,14 +74,14 @@ func TestRefineAdoptsAndTrimsWindow(t *testing.T) {
 	}
 
 	// Observability: the refinement was counted and traced.
-	snap := o.Metrics.Snapshot()
+	snap := o.Registry().Snapshot()
 	if snap.Counters["changepoint.arrival.refinements"] != 1 {
 		t.Errorf("refinement counter = %v", snap.Counters)
 	}
 	if snap.Counters["changepoint.arrival.detections"] != 0 {
 		t.Errorf("detection counter = %v, want 0", snap.Counters)
 	}
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(traceBuf.String(), `"kind":"detect"`) ||

@@ -106,7 +106,7 @@ func TestGuardNormalIdleDoesNotTrip(t *testing.T) {
 func TestGuardNilReceiver(t *testing.T) {
 	var g *Guard
 	g.NoteSuspicion()
-	g.Instrument(&obs.Obs{Metrics: obs.NewRegistry()})
+	g.Instrument(obs.New(obs.NewRegistry(), nil))
 	if g.Vetoes() != 0 || g.Suspicions() != 0 {
 		t.Error("nil guard reported activity")
 	}
@@ -114,7 +114,7 @@ func TestGuardNilReceiver(t *testing.T) {
 
 func TestGuardObservability(t *testing.T) {
 	var buf bytes.Buffer
-	o := &obs.Obs{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(&buf)}
+	o := obs.New(obs.NewRegistry(), obs.NewTracer(&buf))
 	g, err := NewGuard(&sleepyPolicy{}, 50, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +123,13 @@ func TestGuardObservability(t *testing.T) {
 	g.NoteSuspicion()
 	g.Decide(1)
 	g.Decide(1)
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if v := o.Metrics.Counter("dpm.guard_vetoes").Value(); v != 2 {
+	if v := o.Registry().Counter("dpm.guard_vetoes").Value(); v != 2 {
 		t.Errorf("veto counter = %v", v)
 	}
-	if v := o.Metrics.Counter("dpm.guard_suspicions").Value(); v != 1 {
+	if v := o.Registry().Counter("dpm.guard_suspicions").Value(); v != 1 {
 		t.Errorf("suspicion counter = %v", v)
 	}
 	out := buf.String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -369,7 +370,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestParetoFrontierShape(t *testing.T) {
-	points, err := ParetoFrontier(1)
+	points, err := ParetoFrontier(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestParetoFrontierShape(t *testing.T) {
 }
 
 func TestWakeProbSweepShape(t *testing.T) {
-	points, err := WakeProbSweep(1, []float64{1, 0.0001})
+	points, err := WakeProbSweep(context.Background(), 1, []float64{1, 0.0001}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestWakeProbSweepShape(t *testing.T) {
 	if tight.MeasuredWakeProb > 0.0001*10 {
 		t.Errorf("realised wake probability %v an order of magnitude off the 1e-4 constraint", tight.MeasuredWakeProb)
 	}
-	if _, err := WakeProbSweep(1, nil); err == nil {
+	if _, err := WakeProbSweep(context.Background(), 1, nil, 0); err == nil {
 		t.Error("empty sweep accepted")
 	}
 	if s := FormatWakeProbSweep(points); !strings.Contains(s, "constrained") {

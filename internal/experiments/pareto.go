@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -48,16 +49,11 @@ func paretoWorkload(seed uint64) (*workload.Trace, float64, float64, error) {
 // across delay targets, fixed frequencies, and the queue-aware MDP across
 // delay prices. The frontier generalises the trade-off themes of Figures 4,
 // 5 and 9 into a single measured curve. Points run concurrently on up to
-// GOMAXPROCS workers; see ParetoFrontierWorkers to bound the pool.
-func ParetoFrontier(seed uint64) ([]ParetoPoint, error) {
-	return ParetoFrontierWorkers(seed, 0)
-}
-
-// ParetoFrontierWorkers is ParetoFrontier with an explicit worker bound
-// (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially). Every point is an
-// independent simulation on the shared read-only trace, so the frontier is
-// identical for any worker count.
-func ParetoFrontierWorkers(seed uint64, workers int) ([]ParetoPoint, error) {
+// workers goroutines (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially)
+// and stop starting once ctx is done. Every point is an independent
+// simulation on the shared read-only trace, so the frontier is identical
+// for any worker count.
+func ParetoFrontier(ctx context.Context, seed uint64, workers int) ([]ParetoPoint, error) {
 	tr, lambda, decodeMax, err := paretoWorkload(seed)
 	if err != nil {
 		return nil, err
@@ -127,7 +123,7 @@ func ParetoFrontierWorkers(seed uint64, workers int) ([]ParetoPoint, error) {
 			return run(fmt.Sprintf("fixed(%.1fMHz)", op.FrequencyMHz), 0.15, fixedOp{op})
 		})
 	}
-	return parallel.Map(workers, len(jobs), func(i int) (ParetoPoint, error) {
+	return parallel.Map(ctx, workers, len(jobs), func(i int) (ParetoPoint, error) {
 		return jobs[i]()
 	})
 }

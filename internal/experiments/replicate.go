@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -46,22 +47,17 @@ func Summarise(samples []float64) Metric {
 }
 
 // Replicate evaluates f on n consecutive seeds and summarises the results.
-// Replicas run concurrently on up to GOMAXPROCS workers; the summary is
-// computed over the index-ordered samples, so the Metric is identical to a
-// serial evaluation. Use ReplicateWorkers to bound (or serialise) the pool.
-func Replicate(n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
-	return ReplicateWorkers(0, n, baseSeed, f)
-}
-
-// ReplicateWorkers is Replicate with an explicit worker bound (<= 0 selects
-// runtime.GOMAXPROCS(0), 1 runs serially). f must be safe for concurrent
+// Replicas run concurrently on up to workers goroutines (<= 0 selects
+// runtime.GOMAXPROCS(0), 1 runs serially) and stop starting once ctx is
+// done; the summary is computed over the index-ordered samples, so the
+// Metric is identical to a serial evaluation. f must be safe for concurrent
 // invocation when more than one worker is in play: every experiment in this
 // package constructs its simulator, controller and workload per call.
-func ReplicateWorkers(workers, n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
+func Replicate(ctx context.Context, workers, n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
 	if n < 1 {
 		return Metric{}, fmt.Errorf("experiments: need at least one replica, got %d", n)
 	}
-	samples, err := parallel.Map(workers, n, func(i int) (float64, error) {
+	samples, err := parallel.Map(ctx, workers, n, func(i int) (float64, error) {
 		return f(baseSeed + uint64(i))
 	})
 	if err != nil {
@@ -72,8 +68,8 @@ func ReplicateWorkers(workers, n int, baseSeed uint64, f func(seed uint64) (floa
 
 // Table5FactorReplicated measures the combined DVS+DPM saving factor (the
 // paper's "factor of three") across n independent workload realisations.
-func Table5FactorReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+func Table5FactorReplicated(ctx context.Context, baseSeed uint64, n int) (Metric, error) {
+	return Replicate(ctx, 0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table5(seed)
 		if err != nil {
 			return 0, err
@@ -84,8 +80,8 @@ func Table5FactorReplicated(baseSeed uint64, n int) (Metric, error) {
 
 // Table3SavingReplicated measures the change-point policy's energy saving
 // versus max performance on the first Table 3 sequence, across realisations.
-func Table3SavingReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+func Table3SavingReplicated(ctx context.Context, baseSeed uint64, n int) (Metric, error) {
+	return Replicate(ctx, 0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table3(seed)
 		if err != nil {
 			return 0, err
@@ -101,8 +97,8 @@ func Table3SavingReplicated(baseSeed uint64, n int) (Metric, error) {
 // ChangePointExcessReplicated measures the change-point policy's energy
 // excess over ideal detection (fractional), across realisations — the
 // paper's "very close to the ideal" claim quantified.
-func ChangePointExcessReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+func ChangePointExcessReplicated(ctx context.Context, baseSeed uint64, n int) (Metric, error) {
+	return Replicate(ctx, 0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table3(seed)
 		if err != nil {
 			return 0, err

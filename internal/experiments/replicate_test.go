@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -31,13 +34,37 @@ func TestSummarise(t *testing.T) {
 }
 
 func TestReplicateErrors(t *testing.T) {
-	if _, err := Replicate(0, 1, nil); err == nil {
+	if _, err := Replicate(context.Background(), 0, 0, 1, nil); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := Replicate(2, 1, func(uint64) (float64, error) {
+	if _, err := Replicate(context.Background(), 0, 2, 1, func(uint64) (float64, error) {
 		return 0, errFail
 	}); err == nil {
 		t.Error("inner error not propagated")
+	}
+}
+
+// TestReplicateCancelled: a context that is already done stops the sweep
+// before any replica runs, at any worker count, and the cancellation is
+// what the caller sees.
+func TestReplicateCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int32
+		m, err := Replicate(ctx, workers, 8, 1, func(uint64) (float64, error) {
+			calls.Add(1)
+			return 1, nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if m != (Metric{}) {
+			t.Errorf("workers=%d: metric = %+v, want zero", workers, m)
+		}
+		if n := calls.Load(); n != 0 {
+			t.Errorf("workers=%d: f ran %d times on a cancelled context", workers, n)
+		}
 	}
 }
 
@@ -49,11 +76,11 @@ func (*failErr) Error() string { return "fail" }
 
 func TestReplicateDeterministic(t *testing.T) {
 	f := func(seed uint64) (float64, error) { return float64(seed * seed), nil }
-	a, err := Replicate(4, 10, f)
+	a, err := Replicate(context.Background(), 0, 4, 10, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Replicate(4, 10, f)
+	b, _ := Replicate(context.Background(), 0, 4, 10, f)
 	if a != b {
 		t.Error("replication not deterministic")
 	}
@@ -69,7 +96,7 @@ func TestTable5FactorReplicated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated table 5 is slow")
 	}
-	m, err := Table5FactorReplicated(1, 5)
+	m, err := Table5FactorReplicated(context.Background(), 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +112,14 @@ func TestTable3ReplicatedClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated table 3 is slow")
 	}
-	saving, err := Table3SavingReplicated(1, 3)
+	saving, err := Table3SavingReplicated(context.Background(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if saving.Lo <= 0 {
 		t.Errorf("change-point saving vs max CI = %s; should be clearly positive", saving)
 	}
-	excess, err := ChangePointExcessReplicated(1, 3)
+	excess, err := ChangePointExcessReplicated(context.Background(), 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +143,11 @@ func TestReplicateWorkerCountInvariant(t *testing.T) {
 		return r.MeanAbsError, nil
 	}
 	for _, baseSeed := range []uint64{1, 7, 1234} {
-		serial, err := ReplicateWorkers(1, 6, baseSeed, fig6)
+		serial, err := Replicate(context.Background(), 1, 6, baseSeed, fig6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := ReplicateWorkers(8, 6, baseSeed, fig6)
+		wide, err := Replicate(context.Background(), 8, 6, baseSeed, fig6)
 		if err != nil {
 			t.Fatal(err)
 		}

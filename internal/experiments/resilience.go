@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -95,8 +96,9 @@ func GridClamp(grid []float64) policy.RateClamp {
 // reporting energy, deadline misses, drops, and watchdog recovery. Within a
 // scenario every configuration faces the bit-identical perturbed trace (the
 // fault stream is derived per scenario index with SplitAt), and cells are
-// index-addressed, so results are identical for any worker count.
-func ResilienceTable(seed uint64, workers int) ([]ResilienceRow, error) {
+// index-addressed, so results are identical for any worker count. Cells
+// stop starting once ctx is done.
+func ResilienceTable(ctx context.Context, seed uint64, workers int) ([]ResilienceRow, error) {
 	tr, err := Table5Workload(seed)
 	if err != nil {
 		return nil, err
@@ -114,7 +116,7 @@ func ResilienceTable(seed uint64, workers int) ([]ResilienceRow, error) {
 	base := stats.NewRNG(seed)
 
 	cells := len(scenarios) * len(configs)
-	rows, err := parallel.Map(workers, cells, func(i int) (ResilienceRow, error) {
+	rows, err := parallel.Map(ctx, workers, cells, func(i int) (ResilienceRow, error) {
 		sc := scenarios[i/len(configs)]
 		cfg := configs[i%len(configs)]
 		ftr, derate, injected := tr, []sim.PowerDerate(nil), 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestGridClamp(t *testing.T) {
 }
 
 func TestResilienceTable(t *testing.T) {
-	rows, err := ResilienceTable(1, 0)
+	rows, err := ResilienceTable(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestResilienceTable(t *testing.T) {
 // TestResilienceTableWorkerInvariance is the determinism acceptance check:
 // the table is bit-identical for any -j worker count.
 func TestResilienceTableWorkerInvariance(t *testing.T) {
-	serial, err := ResilienceTable(2, 1)
+	serial, err := ResilienceTable(context.Background(), 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanned, err := ResilienceTable(2, 8)
+	fanned, err := ResilienceTable(context.Background(), 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

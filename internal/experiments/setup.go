@@ -14,7 +14,6 @@ import (
 	"smartbadge/internal/changepoint"
 	"smartbadge/internal/device"
 	"smartbadge/internal/dpm"
-	"smartbadge/internal/obs"
 	"smartbadge/internal/perfmodel"
 	"smartbadge/internal/policy"
 	"smartbadge/internal/sa1100"
@@ -224,35 +223,17 @@ func NewController(kind PolicyKind, app App, initialArrival, initialService floa
 }
 
 // RunPolicy simulates one trace under one policy and DPM configuration.
-func RunPolicy(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy) (*sim.Result, error) {
-	return RunPolicyWith(kind, app, tr, pol, nil)
-}
-
-// RunPolicyWith is RunPolicy with a hook to adjust the simulator
-// configuration (buffer capacity, timeline recording, …) before the run.
-func RunPolicyWith(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, mutate func(*sim.Config)) (*sim.Result, error) {
-	return RunPolicyObs(kind, app, tr, pol, nil, mutate)
-}
-
-// RunPolicyObs is RunPolicyWith plus observability: when o is non-nil the
-// controller, both change-point detectors (labelled "arrival" and "service"),
-// the DPM policy and the simulator itself all report into it. A nil o is the
-// fast path — no wrapping, no instrumentation, bit-identical results.
-func RunPolicyObs(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, o *obs.Obs, mutate func(*sim.Config)) (*sim.Result, error) {
+// mutate, when non-nil, adjusts the simulator configuration (buffer
+// capacity, timeline recording, observability, …) before the run. When it
+// sets cfg.Obs, the controller, both change-point detectors (labelled
+// "arrival" and "service"), the DPM policy and the simulator itself all
+// report into it; a nil Obs is the fast path — no wrapping, no
+// instrumentation, bit-identical results.
+func RunPolicy(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, mutate func(*sim.Config)) (*sim.Result, error) {
 	first := tr.Changes[0]
 	ctrl, err := NewController(kind, app, first.ArrivalRate, first.DecodeRateMax)
 	if err != nil {
 		return nil, err
-	}
-	if o != nil {
-		ctrl.Instrument(o)
-		if cp, ok := ctrl.ArrivalEst.(*policy.ChangePoint); ok {
-			cp.Instrument(o, "arrival")
-		}
-		if cp, ok := ctrl.ServiceEst.(*policy.ChangePoint); ok {
-			cp.Instrument(o, "service")
-		}
-		pol = dpm.Observe(pol, o)
 	}
 	cfg := sim.Config{
 		Badge:      device.SmartBadge(),
@@ -261,10 +242,19 @@ func RunPolicyObs(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, 
 		Controller: ctrl,
 		DPM:        pol,
 		Kind:       app.Kind,
-		Obs:        o,
 	}
 	if mutate != nil {
 		mutate(&cfg)
+	}
+	if o := cfg.Obs; o != nil {
+		cfg.Controller.Instrument(o)
+		if cp, ok := cfg.Controller.ArrivalEst.(*policy.ChangePoint); ok {
+			cp.Instrument(o, "arrival")
+		}
+		if cp, ok := cfg.Controller.ServiceEst.(*policy.ChangePoint); ok {
+			cp.Instrument(o, "service")
+		}
+		cfg.DPM = dpm.Observe(cfg.DPM, o)
 	}
 	return sim.Run(cfg)
 }

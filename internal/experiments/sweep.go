@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -46,17 +47,11 @@ func (c *idleCounter) Name() string          { return c.inner.Name() }
 // constraint: the DPM timeout is the minimum-energy timeout subject to
 // "wake-up penalty in at most p of idle periods", swept over p on the
 // combined Table 5 workload (with ideal-detection DVS held fixed).
-// Constraint points run concurrently on up to GOMAXPROCS workers; see
-// WakeProbSweepWorkers to bound the pool.
-func WakeProbSweep(seed uint64, probs []float64) ([]WakeProbPoint, error) {
-	return WakeProbSweepWorkers(seed, probs, 0)
-}
-
-// WakeProbSweepWorkers is WakeProbSweep with an explicit worker bound
-// (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially). Each constraint
-// point simulates independently on the shared read-only trace and idle
-// model, so the sweep is identical for any worker count.
-func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProbPoint, error) {
+// Constraint points run concurrently on up to workers goroutines (<= 0
+// selects runtime.GOMAXPROCS(0), 1 runs serially) and stop starting once
+// ctx is done. Each point simulates independently on the shared read-only
+// trace and idle model, so the sweep is identical for any worker count.
+func WakeProbSweep(ctx context.Context, seed uint64, probs []float64, workers int) ([]WakeProbPoint, error) {
 	if len(probs) == 0 {
 		return nil, fmt.Errorf("experiments: no constraint points")
 	}
@@ -66,7 +61,7 @@ func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProb
 	}
 	costs := dpm.CostsForBadge(device.SmartBadge(), device.Standby)
 	idleModel := tr.IdleModel()
-	return parallel.Map(workers, len(probs), func(i int) (WakeProbPoint, error) {
+	return parallel.Map(ctx, workers, len(probs), func(i int) (WakeProbPoint, error) {
 		p := probs[i]
 		tau, err := dpm.ConstrainedTimeout(idleModel, costs, p)
 		if err != nil {
@@ -77,7 +72,7 @@ func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProb
 			return WakeProbPoint{}, err
 		}
 		counter := &idleCounter{inner: pol}
-		res, err := RunPolicy(Ideal, MixedApp(), tr, counter)
+		res, err := RunPolicy(Ideal, MixedApp(), tr, counter, nil)
 		if err != nil {
 			return WakeProbPoint{}, err
 		}

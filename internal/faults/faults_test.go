@@ -334,7 +334,7 @@ func TestApplyErrors(t *testing.T) {
 
 func TestApplyObservability(t *testing.T) {
 	var buf bytes.Buffer
-	o := &obs.Obs{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(&buf)}
+	o := obs.New(obs.NewRegistry(), obs.NewTracer(&buf))
 	tr := uniformTrace(200, 0.5)
 	sc := Scenario{
 		Name:        "mix",
@@ -346,13 +346,13 @@ func TestApplyObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Metrics.Counter("faults.frames_dropped").Value(); got != float64(inj.Report.Dropped) {
+	if got := o.Registry().Counter("faults.frames_dropped").Value(); got != float64(inj.Report.Dropped) {
 		t.Errorf("dropped counter = %v, report %d", got, inj.Report.Dropped)
 	}
-	if got := o.Metrics.Counter("faults.frames_delayed").Value(); got != float64(inj.Report.Delayed) {
+	if got := o.Registry().Counter("faults.frames_delayed").Value(); got != float64(inj.Report.Delayed) {
 		t.Errorf("delayed counter = %v, report %d", got, inj.Report.Delayed)
 	}
 	if n := strings.Count(buf.String(), `"kind":"fault"`); n != 3 {

@@ -50,6 +50,10 @@ type Config struct {
 	// Workers caps the worker pool; <= 0 selects GOMAXPROCS. The report is
 	// bit-identical for every value.
 	Workers int
+	// Journal, when non-nil, checkpoints the run so a resumed batch skips
+	// badges already journaled (see RunCtx). Like Workers, it never changes
+	// the report.
+	Journal Journal
 	// Apps cycles the workload mix across badges. Valid entries: "mp3",
 	// "mpeg", "mixed". Default: all three.
 	Apps []string
@@ -109,11 +113,12 @@ func Validate(cfg Config) (Config, error) {
 }
 
 // Hash returns the canonical content hash of everything that determines
-// the batch result: Badges, Seed and the normalised axes. Workers is
-// deliberately excluded — the determinism contract makes the report
-// independent of it, so a checkpoint taken at -j 4 resumes correctly at
-// -j 16. The hash keys checkpoint directories (internal/ckpt), so two
-// configs hash equal exactly when their reports are byte-identical.
+// the batch result: Badges, Seed and the normalised axes. Workers and
+// Journal are deliberately excluded — the determinism contract makes the
+// report independent of them, so a checkpoint taken at -j 4 resumes
+// correctly at -j 16. The hash keys checkpoint directories
+// (internal/ckpt), so two configs hash equal exactly when their reports
+// are byte-identical.
 func (c Config) Hash() (string, error) {
 	if err := c.normalise(); err != nil {
 		return "", err
@@ -147,7 +152,7 @@ type Spec struct {
 // axis (app) first. SpecFor is self-normalising: an axis slice that is still
 // empty (normalise has not run yet) falls back to the same default it would
 // be filled with, instead of dividing by zero, so the derivation is safe on
-// any Config and agrees with what Run will execute.
+// any Config and agrees with what RunCtx will execute.
 func (c *Config) SpecFor(i int) Spec {
 	apps, pols, dpms := c.Apps, c.Policies, c.DPMs
 	if len(apps) == 0 {
@@ -221,8 +226,8 @@ type Report struct {
 	Agg    Aggregate
 }
 
-// Journal is the checkpoint seam RunResumeCtx writes through — the subset
-// of *ckpt.Store the fleet needs. Implementations must be safe for
+// Journal is the checkpoint seam RunCtx writes through — the subset of
+// *ckpt.Store the fleet needs. Implementations must be safe for
 // concurrent Append from shard workers.
 type Journal interface {
 	// Get returns the stored payload for badge i, if one exists.
@@ -232,33 +237,23 @@ type Journal interface {
 	Append(i int, data json.RawMessage) error
 }
 
-// Run executes the batch and returns the index-ordered per-badge results
+// RunCtx executes the batch and returns the index-ordered per-badge results
 // plus aggregates. The report is bit-identical for any Workers value.
-func Run(cfg Config) (*Report, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cooperative cancellation for request-scoped callers
-// (the serving daemon): every shard checks ctx between badges, so a
-// cancelled request aborts after the badge currently simulating finishes —
-// not after the whole batch — and the returned error satisfies
-// errors.Is(err, ctx.Err()). A run that is not cancelled is bit-identical
-// to Run; cancellation never yields a partial report.
-func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
-	return RunResumeCtx(ctx, cfg, nil)
-}
-
-// RunResumeCtx is RunCtx with crash-safe checkpointing. Badges already in
-// the journal are restored instead of re-simulated; badges completed here
+//
+// Every shard checks ctx between badges, so a cancelled request aborts
+// after the badge currently simulating finishes — not after the whole
+// batch — and the returned error satisfies errors.Is(err, ctx.Err());
+// cancellation never yields a partial report.
+//
+// With cfg.Journal set, badges already journaled are restored and the rest
 // are appended as they finish. Because each badge is a pure function of
 // (Config, index) and JSON round-trips float64 bits exactly, a resumed
-// run's report is byte-identical to an uninterrupted one — the journal
-// only changes how much work reaching it costs. A nil journal runs the
-// whole batch.
-func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
+// run's report is byte-identical to an uninterrupted one.
+func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
+	j := cfg.Journal
 	n := cfg.Badges
 	w := parallel.Workers(cfg.Workers)
 	if w > n {
@@ -284,9 +279,9 @@ func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
 		}
 	}
 	// One task per shard (not per badge): shard s owns badges s, s+w, …,
-	// and a private Scratch recycled across them. parallel.ForEachCtx with
+	// and a private Scratch recycled across them. parallel.ForEach with
 	// n == workers runs each shard exactly once.
-	err := parallel.ForEachCtx(ctx, w, w, func(shard int) error {
+	err := parallel.ForEach(ctx, w, w, func(shard int) error {
 		sc := sim.NewScratch()
 		for i := shard; i < n; i += w {
 			if err := ctx.Err(); err != nil {
@@ -393,7 +388,7 @@ func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 		}
 	}
 
-	res, err := experiments.RunPolicyWith(spec.Policy, app, tr, pol, func(c *sim.Config) {
+	res, err := experiments.RunPolicy(spec.Policy, app, tr, pol, func(c *sim.Config) {
 		c.Scratch = sc
 	})
 	if err != nil {

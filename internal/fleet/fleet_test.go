@@ -30,12 +30,12 @@ func smallConfig(n, workers int) Config {
 // every per-badge result and every aggregate — must be bit-identical for
 // 1, 4 and 16 workers, so shard assignment is unobservable.
 func TestWorkerInvariance(t *testing.T) {
-	base, err := Run(smallConfig(6, 1))
+	base, err := RunCtx(context.Background(), smallConfig(6, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, 16} {
-		got, err := Run(smallConfig(6, w))
+		got, err := RunCtx(context.Background(), smallConfig(6, w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,11 +49,11 @@ func TestWorkerInvariance(t *testing.T) {
 // function of (Seed, index): badge i of an N-badge batch equals badge i of a
 // larger batch, so growing a fleet never perturbs existing badges.
 func TestBadgeResultsIndependentOfBatchSize(t *testing.T) {
-	small, err := Run(smallConfig(3, 2))
+	small, err := RunCtx(context.Background(), smallConfig(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Run(smallConfig(6, 3))
+	large, err := RunCtx(context.Background(), smallConfig(6, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestDefaultMixCoversAllAxes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full heterogeneous mix is slow")
 	}
-	rep, err := Run(Config{Badges: 12, Seed: 3, Workers: 4})
+	rep, err := RunCtx(context.Background(), Config{Badges: 12, Seed: 3, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestConfigValidation(t *testing.T) {
 		"bad app":     {Badges: 1, Apps: []string{"doom"}},
 		"bad dpm":     {Badges: 1, DPMs: []string{"psychic"}},
 	} {
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunCtx(context.Background(), cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -10,6 +10,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -26,7 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens from
 // catches a change that moves every path alike, and names the first badge
 // that moved.
 func TestDefaultMixReportGolden(t *testing.T) {
-	rep, err := Run(Config{Badges: 24, Seed: 7, Workers: 2})
+	rep, err := RunCtx(context.Background(), Config{Badges: 24, Seed: 7, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

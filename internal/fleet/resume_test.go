@@ -39,6 +39,12 @@ func (m *memJournal) Append(i int, data json.RawMessage) error {
 	return nil
 }
 
+// journaled returns cfg with j as its checkpoint journal.
+func journaled(cfg Config, j Journal) Config {
+	cfg.Journal = j
+	return cfg
+}
+
 // swapRunBadge installs fn as the badge execution seam and returns a
 // restore func. fn receives the real runBadge so it can delegate.
 func swapRunBadge(fn func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error)) func() {
@@ -102,7 +108,7 @@ func TestPanicIsolatedToBadgeError(t *testing.T) {
 // hold a half-stepped simulation — the next badge on the same shard must
 // still produce the bit-exact result, proven against an uninterrupted run.
 func TestPanicReplacesScratch(t *testing.T) {
-	clean, err := Run(smallConfig(4, 1))
+	clean, err := RunCtx(context.Background(), smallConfig(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestPanicReplacesScratch(t *testing.T) {
 		}
 		return runBadge(cfg, i, sc)
 	})()
-	got, err := Run(smallConfig(4, 1)) // one shard: badges 2,3 reuse the scratch after the panic
+	got, err := RunCtx(context.Background(), smallConfig(4, 1)) // one shard: badges 2,3 reuse the scratch after the panic
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +140,7 @@ func TestAllBadgesFailedIsError(t *testing.T) {
 	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 		return BadgeResult{}, errors.New("doomed")
 	})()
-	rep, err := Run(smallConfig(3, 2))
+	rep, err := RunCtx(context.Background(), smallConfig(3, 2))
 	if rep != nil || err == nil {
 		t.Fatalf("rep=%v err=%v, want nil report + error", rep, err)
 	}
@@ -149,12 +155,12 @@ func TestAllBadgesFailedIsError(t *testing.T) {
 // uninterrupted run — the checkpoint round-trip (JSON floats included)
 // loses no bits.
 func TestResumeSkipsJournaledBadges(t *testing.T) {
-	base, err := Run(smallConfig(6, 2))
+	base, err := RunCtx(context.Background(), smallConfig(6, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := newMemJournal()
-	if rep, err := RunResumeCtx(context.Background(), smallConfig(6, 2), full); err != nil {
+	if rep, err := RunCtx(context.Background(), journaled(smallConfig(6, 2), full)); err != nil {
 		t.Fatal(err)
 	} else if !reflect.DeepEqual(rep, base) {
 		t.Error("journaling run diverged from plain run")
@@ -176,7 +182,7 @@ func TestResumeSkipsJournaledBadges(t *testing.T) {
 		mu.Unlock()
 		return runBadge(cfg, i, sc)
 	})()
-	rep, err := RunResumeCtx(context.Background(), smallConfig(6, 2), partial)
+	rep, err := RunCtx(context.Background(), journaled(smallConfig(6, 2), partial))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +205,14 @@ func TestResumeSkipsJournaledBadges(t *testing.T) {
 // TestResumeRecomputesBadPayload: a journal record that doesn't parse back
 // to its badge is treated as absent and recomputed, never trusted.
 func TestResumeRecomputesBadPayload(t *testing.T) {
-	base, err := Run(smallConfig(3, 1))
+	base, err := RunCtx(context.Background(), smallConfig(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := newMemJournal()
 	j.done[0] = json.RawMessage(`{"Index":2}`) // wrong index
 	j.done[1] = json.RawMessage(`not json`)
-	rep, err := RunResumeCtx(context.Background(), smallConfig(3, 1), j)
+	rep, err := RunCtx(context.Background(), journaled(smallConfig(3, 1), j))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +239,7 @@ func TestResumeWithCkptStore(t *testing.T) {
 		return s
 	}
 	s1 := open()
-	base, err := RunResumeCtx(context.Background(), cfg, s1)
+	base, err := RunCtx(context.Background(), journaled(cfg, s1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +253,7 @@ func TestResumeWithCkptStore(t *testing.T) {
 	if st := s2.Stats(); st.Restored != 4 {
 		t.Fatalf("restored %d records, want 4", st.Restored)
 	}
-	rep, err := RunResumeCtx(context.Background(), cfg, s2)
+	rep, err := RunCtx(context.Background(), journaled(cfg, s2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,6 +278,12 @@ func TestConfigHash(t *testing.T) {
 	w16 := smallConfig(6, 16)
 	if hw, _ := w16.Hash(); hw != h {
 		t.Error("Workers changed the hash; resume across -j values would be refused")
+	}
+	// Nor can the journal: the run that writes a checkpoint and the run
+	// that resumes from it must share one key.
+	withJ := journaled(base, newMemJournal())
+	if hj, _ := withJ.Hash(); hj != h {
+		t.Error("Journal changed the hash; a checkpointed run would key differently from a plain one")
 	}
 	// Explicit defaults hash like empty axes: both run the same batch.
 	imp := Config{Badges: 6, Seed: 9}

@@ -68,8 +68,6 @@ func WriteManifest(w io.Writer, m Manifest) error {
 type Artifacts struct {
 	obs         *Obs
 	metricsPath string
-	reg         *Registry
-	tracer      *Tracer
 	traceFile   *os.File
 }
 
@@ -82,8 +80,7 @@ func OpenArtifacts(metricsPath, tracePath string, m Manifest) (*Artifacts, error
 	}
 	a := &Artifacts{metricsPath: metricsPath, obs: &Obs{}}
 	if metricsPath != "" {
-		a.reg = NewRegistry()
-		a.obs.Metrics = a.reg
+		a.obs.metrics = NewRegistry()
 	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -91,8 +88,7 @@ func OpenArtifacts(metricsPath, tracePath string, m Manifest) (*Artifacts, error
 			return nil, err
 		}
 		a.traceFile = f
-		a.tracer = NewTracer(f)
-		a.obs.Trace = a.tracer
+		a.obs.trace = NewTracer(f)
 	}
 	manifestPath := metricsPath
 	if manifestPath == "" {
@@ -136,10 +132,10 @@ func (a *Artifacts) Close() error {
 		return nil
 	}
 	var first error
-	if a.reg != nil {
+	if a.obs.metrics != nil {
 		f, err := os.Create(a.metricsPath)
 		if err == nil {
-			err = a.reg.WriteJSON(f)
+			err = a.obs.metrics.WriteJSON(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -148,8 +144,8 @@ func (a *Artifacts) Close() error {
 			first = fmt.Errorf("obs: writing metrics: %w", err)
 		}
 	}
-	if a.tracer != nil {
-		if err := a.tracer.Flush(); err != nil && first == nil {
+	if a.obs.trace != nil {
+		if err := a.obs.trace.Flush(); err != nil && first == nil {
 			first = fmt.Errorf("obs: flushing trace: %w", err)
 		}
 		if err := a.traceFile.Close(); err != nil && first == nil {

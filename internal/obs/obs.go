@@ -310,19 +310,23 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// Obs bundles the two observability sinks a run can carry. Either field (or
-// the whole bundle) may be nil; use the accessors, which are nil-safe.
+// Obs bundles the two observability sinks a run can carry. Either sink (or
+// the whole bundle) may be nil. The sinks are reachable only through the
+// nil-safe accessors, so no caller can bypass the disabled fast path.
 type Obs struct {
-	Metrics *Registry
-	Trace   *Tracer
+	metrics *Registry
+	trace   *Tracer
 }
+
+// New bundles a metrics registry and an event tracer; either may be nil.
+func New(reg *Registry, tr *Tracer) *Obs { return &Obs{metrics: reg, trace: tr} }
 
 // Registry returns the metrics registry, or nil when disabled.
 func (o *Obs) Registry() *Registry {
 	if o == nil {
 		return nil
 	}
-	return o.Metrics
+	return o.metrics
 }
 
 // Tracer returns the event tracer, or nil when disabled.
@@ -330,5 +334,5 @@ func (o *Obs) Tracer() *Tracer {
 	if o == nil {
 		return nil
 	}
-	return o.Trace
+	return o.trace
 }

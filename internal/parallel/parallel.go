@@ -19,12 +19,12 @@
 // W workers up to W tasks are already running when the first one fails and
 // each may contribute its own error.
 //
-// Cancellation contract. The Ctx variants additionally stop starting tasks
-// once ctx is done; tasks already running finish (fn is never interrupted),
-// and ctx.Err() is joined after any task errors, so
+// Cancellation contract. Every entry point takes the caller's context and
+// stops starting tasks once it is done; tasks already running finish (fn is
+// never interrupted), and ctx.Err() is joined after any task errors, so
 // errors.Is(err, context.Canceled/DeadlineExceeded) reports why the fan-out
-// stopped early. Cancellation is a transport-layer concern: a run that is
-// not cancelled is bit-identical to one executed without a context.
+// stopped early. A run that is not cancelled is bit-identical whatever
+// context carried it.
 package parallel
 
 import (
@@ -47,17 +47,11 @@ func Workers(requested int) int {
 // ForEach runs fn(0..n-1) on up to workers goroutines (workers <= 0 selects
 // GOMAXPROCS) and blocks until every started task returns. The first error
 // stops further tasks from starting; all errors observed are joined in index
-// order (see the package comment for the exact semantics). fn must be safe
-// for concurrent invocation when workers != 1.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done no
-// new task starts, tasks already running finish, and ctx.Err() is joined
-// after the task errors, so the caller can distinguish "a task failed" from
-// "the request went away" with errors.Is.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
+// order (see the package comment for the exact semantics). Once ctx is done
+// no new task starts, and ctx.Err() is joined after the task errors, so the
+// caller can distinguish "a task failed" from "the request went away" with
+// errors.Is. fn must be safe for concurrent invocation when workers != 1.
+func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -123,17 +117,12 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	return errors.Join(joined...)
 }
 
-// Map runs fn over indices 0..n-1 with ForEach's scheduling and returns the
-// results in index order. On error the partial results are discarded.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with ForEachCtx's cancellation semantics. On error —
-// including cancellation — the partial results are discarded.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
+// Map runs fn over indices 0..n-1 with ForEach's scheduling and
+// cancellation and returns the results in index order. On error — including
+// cancellation — the partial results are discarded.
+func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEachCtx(ctx, workers, n, func(i int) error {
+	err := ForEach(ctx, workers, n, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

@@ -26,7 +26,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		const n = 57
 		hit := make([]atomic.Int32, n)
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEach(context.Background(), workers, n, func(i int) error {
 			hit[i].Add(1)
 			return nil
 		}); err != nil {
@@ -41,7 +41,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEach(context.Background(), 4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,7 +50,7 @@ func TestForEachErrorPropagatesAndCancels(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEach(workers, 1000, func(i int) error {
+		err := ForEach(context.Background(), workers, 1000, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
 				return fmt.Errorf("task %d: %w", i, sentinel)
@@ -72,7 +72,7 @@ func TestForEachErrorPropagatesAndCancels(t *testing.T) {
 func TestForEachJoinsMultipleErrors(t *testing.T) {
 	// With workers == n, several tasks can fail before the stop flag is seen;
 	// all recorded failures must surface through errors.Join.
-	err := ForEach(4, 4, func(i int) error { return fmt.Errorf("fail-%d", i) })
+	err := ForEach(context.Background(), 4, 4, func(i int) error { return fmt.Errorf("fail-%d", i) })
 	if err == nil {
 		t.Fatal("no error")
 	}
@@ -85,7 +85,7 @@ func TestForEachJoinsMultipleErrors(t *testing.T) {
 func TestErrorShapeUnifiedAcrossWorkerCounts(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 8, func(i int) error {
+		err := ForEach(context.Background(), workers, 8, func(i int) error {
 			if i == 2 {
 				return sentinel
 			}
@@ -108,7 +108,7 @@ func TestErrorShapeUnifiedAcrossWorkerCounts(t *testing.T) {
 // cancels the run, so only the first failure is ever observed and joined.
 func TestSerialErrorStopsLaterTasks(t *testing.T) {
 	var ran atomic.Int32
-	err := ForEach(1, 10, func(i int) error {
+	err := ForEach(context.Background(), 1, 10, func(i int) error {
 		ran.Add(1)
 		return fmt.Errorf("fail-%d", i)
 	})
@@ -125,7 +125,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, workers, 100, func(i int) error {
+		err := ForEach(ctx, workers, 100, func(i int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -144,7 +144,7 @@ func TestForEachCtxCancelMidRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		err := ForEachCtx(ctx, workers, 10_000, func(i int) error {
+		err := ForEach(ctx, workers, 10_000, func(i int) error {
 			cancel() // every task cancels; tasks in flight still complete
 			ran.Add(1)
 			return nil
@@ -164,7 +164,7 @@ func TestForEachCtxJoinsTaskErrorAndCtxError(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := ForEachCtx(ctx, workers, 100, func(i int) error {
+		err := ForEach(ctx, workers, 100, func(i int) error {
 			if i == 0 {
 				cancel()
 				return sentinel
@@ -180,7 +180,7 @@ func TestForEachCtxJoinsTaskErrorAndCtxError(t *testing.T) {
 func TestMapCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := MapCtx(ctx, 4, 10, func(i int) (int, error) { return i, nil })
+	out, err := Map(ctx, 4, 10, func(i int) (int, error) { return i, nil })
 	if out != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("out=%v err=%v, want nil + context.Canceled", out, err)
 	}
@@ -188,7 +188,7 @@ func TestMapCtxCancelled(t *testing.T) {
 
 func TestMapIndexOrder(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
-		got, err := Map(workers, 40, func(i int) (int, error) { return i * i, nil })
+		got, err := Map(context.Background(), workers, 40, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestMapIndexOrder(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	out, err := Map(4, 10, func(i int) (int, error) {
+	out, err := Map(context.Background(), 4, 10, func(i int) (int, error) {
 		if i == 5 {
 			return 0, errors.New("nope")
 		}
@@ -217,7 +217,7 @@ func TestMapError(t *testing.T) {
 func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []float64 {
 		base := stats.NewRNG(0xfeed)
-		out, err := Map(workers, 64, func(i int) (float64, error) {
+		out, err := Map(context.Background(), workers, 64, func(i int) (float64, error) {
 			rng := base.SplitAt(uint64(i))
 			sum := 0.0
 			for k := 0; k < 100; k++ {

@@ -172,7 +172,7 @@ func TestOverloadGuardNilReceiver(t *testing.T) {
 	var g *OverloadGuard
 	g.ObserveQueue(0, 1000)
 	g.ObserveDemand(0, 1000)
-	g.Instrument(&obs.Obs{Metrics: obs.NewRegistry()})
+	g.Instrument(obs.New(obs.NewRegistry(), nil))
 	if g.Engaged() {
 		t.Error("nil guard engaged")
 	}
@@ -183,7 +183,7 @@ func TestOverloadGuardNilReceiver(t *testing.T) {
 
 func TestOverloadGuardObservability(t *testing.T) {
 	var buf bytes.Buffer
-	o := &obs.Obs{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(&buf)}
+	o := obs.New(obs.NewRegistry(), obs.NewTracer(&buf))
 	g, err := NewOverloadGuard(testGuardConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -193,13 +193,13 @@ func TestOverloadGuardObservability(t *testing.T) {
 	g.ObserveQueue(1, 15)
 	g.ObserveQueue(2, 0)
 	g.ObserveQueue(4, 0)
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if v := o.Metrics.Counter("policy.guard_trips").Value(); v != 1 {
+	if v := o.Registry().Counter("policy.guard_trips").Value(); v != 1 {
 		t.Errorf("trip counter = %v", v)
 	}
-	if v := o.Metrics.Counter("policy.guard_clears").Value(); v != 1 {
+	if v := o.Registry().Counter("policy.guard_clears").Value(); v != 1 {
 		t.Errorf("clear counter = %v", v)
 	}
 	out := buf.String()

@@ -19,6 +19,7 @@ import (
 	"smartbadge/internal/changepoint"
 	"smartbadge/internal/experiments"
 	"smartbadge/internal/fleet"
+	"smartbadge/internal/parallel"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
@@ -30,7 +31,7 @@ const maxBodyBytes = 1 << 20
 type FleetRequest struct {
 	Badges   int      `json:"badges"`
 	Seed     uint64   `json:"seed"`
-	Workers  int      `json:"workers,omitempty"`
+	Workers  int      `json:"workers,omitempty"` // clamped to GOMAXPROCS
 	Apps     []string `json:"apps,omitempty"`
 	Policies []string `json:"policies,omitempty"`
 	DPMs     []string `json:"dpms,omitempty"`
@@ -258,10 +259,13 @@ func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
 		}
 		pols = append(pols, k)
 	}
+	// A request may shrink the shard pool but never grow it past
+	// GOMAXPROCS: the engine starts one goroutine per worker, each holding
+	// a live badge, and reports are identical for any worker count.
 	cfg := fleet.Config{
 		Badges:   req.Badges,
 		Seed:     req.Seed,
-		Workers:  req.Workers,
+		Workers:  min(req.Workers, parallel.Workers(0)),
 		Apps:     req.Apps,
 		Policies: pols,
 		DPMs:     req.DPMs,

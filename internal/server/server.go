@@ -15,7 +15,7 @@
 //
 // Per-request deadlines (the request body's timeout_ms, combined with the
 // client disconnecting) propagate as a context.Context through
-// parallel.ForEachCtx into the fleet shard loops, which poll it between
+// parallel.ForEach into the fleet shard loops, which poll it between
 // badges: a cancelled request aborts after the badge currently simulating,
 // not after the whole batch, and the handler answers with a "cancelled"
 // status as soon as the in-flight badges finish. Graceful shutdown

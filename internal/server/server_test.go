@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"smartbadge/internal/fleet"
+	"smartbadge/internal/parallel"
 )
 
 // smallFleetBody is a real-engine request cheap enough for tests: ExpAvg
@@ -414,6 +415,42 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFleetWorkersClampedToGOMAXPROCS: a request's workers never reaches
+// the engine above GOMAXPROCS — even one inside every server limit that asks
+// for a goroutine per badge — and clamping never changes the response bytes.
+func TestFleetWorkersClampedToGOMAXPROCS(t *testing.T) {
+	s := New(Config{})
+	var seen []int
+	s.runFleet = func(ctx context.Context, cfg fleet.Config) (*fleet.Report, error) {
+		seen = append(seen, cfg.Workers)
+		if cfg.Badges > 3 { // too big to simulate here; the seam is what matters
+			return &fleet.Report{Badges: []fleet.BadgeResult{{Spec: cfg.SpecFor(0)}}}, nil
+		}
+		return fleet.RunCtx(ctx, cfg)
+	}
+	wide := postRecorder(s, "/v1/fleet", `{"badges":100000,"seed":7,"workers":100000}`)
+	if wide.Code != http.StatusOK {
+		t.Fatalf("wide request = %d: %s", wide.Code, wide.Body.String())
+	}
+	clamped := postRecorder(s, "/v1/fleet", strings.Replace(smallFleetBody, `"seed":7`, `"seed":7,"workers":100000`, 1))
+	plain := postRecorder(s, "/v1/fleet", smallFleetBody)
+	if clamped.Code != http.StatusOK || plain.Code != http.StatusOK {
+		t.Fatalf("clamped = %d, plain = %d", clamped.Code, plain.Code)
+	}
+	if !bytes.Equal(clamped.Body.Bytes(), plain.Body.Bytes()) {
+		t.Errorf("clamping workers changed the response:\n%s\nvs\n%s", clamped.Body, plain.Body)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("engine ran %d times, want 3", len(seen))
+	}
+	limit := parallel.Workers(0)
+	for i, w := range seen {
+		if w > limit {
+			t.Errorf("request %d: engine saw Workers=%d, want <= GOMAXPROCS (%d)", i, w, limit)
 		}
 	}
 }

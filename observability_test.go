@@ -37,9 +37,9 @@ func obsRun(t *testing.T, o *Observability) *Result {
 // over the whole run, to exactly the energy breakdown the simulator reports.
 func TestObservabilityEnergyTotalsMatch(t *testing.T) {
 	var buf bytes.Buffer
-	o := &Observability{Metrics: NewMetricsRegistry(), Trace: NewEventTracer(&buf)}
+	o := NewObservability(NewMetricsRegistry(), NewEventTracer(&buf))
 	res := obsRun(t, o)
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,7 +88,7 @@ func TestObservabilityEnergyTotalsMatch(t *testing.T) {
 // against the simulator's own report.
 func TestObservabilityMetricsMatchResult(t *testing.T) {
 	reg := NewMetricsRegistry()
-	res := obsRun(t, &Observability{Metrics: reg})
+	res := obsRun(t, NewObservability(reg, nil))
 	snap := reg.Snapshot()
 
 	if got := snap.Counters["sim.frames_decoded"]; got != float64(res.FramesDecoded) {
@@ -130,7 +130,7 @@ func TestObservabilityMetricsMatchResult(t *testing.T) {
 func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 	var buf bytes.Buffer
 	plain := obsRun(t, nil)
-	observed := obsRun(t, &Observability{Metrics: NewMetricsRegistry(), Trace: NewEventTracer(&buf)})
+	observed := obsRun(t, NewObservability(NewMetricsRegistry(), NewEventTracer(&buf)))
 	if !reflect.DeepEqual(plain, observed) {
 		t.Errorf("observability perturbed the result:\nplain:    %+v\nobserved: %+v", plain, observed)
 	}
@@ -141,9 +141,9 @@ func TestObservabilityDoesNotPerturbResults(t *testing.T) {
 // backwards.
 func TestObservabilityTraceShape(t *testing.T) {
 	var buf bytes.Buffer
-	o := &Observability{Trace: NewEventTracer(&buf)}
+	o := NewObservability(nil, NewEventTracer(&buf))
 	obsRun(t, o)
-	if err := o.Trace.Flush(); err != nil {
+	if err := o.Tracer().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}

@@ -301,7 +301,8 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Observability bundles an optional metrics registry and event tracer.
+// Observability bundles an optional metrics registry and event tracer;
+// build one with NewObservability.
 type Observability = obs.Obs
 
 // MetricsRegistry accumulates counters, gauges and histograms during a run;
@@ -315,6 +316,10 @@ type EventTracer = obs.Tracer
 
 // TraceEvent is one JSONL trace line (see internal/obs for the kind set).
 type TraceEvent = obs.Event
+
+// NewObservability bundles a metrics registry and an event tracer for
+// Options.Obs; either may be nil.
+func NewObservability(reg *MetricsRegistry, tr *EventTracer) *Observability { return obs.New(reg, tr) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
@@ -407,7 +412,8 @@ func Run(opts Options) (*Result, error) {
 		pol = dguard
 	}
 
-	return experiments.RunPolicyObs(kind, app, trace, pol, opts.Obs, func(cfg *sim.Config) {
+	return experiments.RunPolicy(kind, app, trace, pol, func(cfg *sim.Config) {
+		cfg.Obs = opts.Obs
 		cfg.Badge = badge
 		cfg.BufferCap = opts.BufferCap
 		cfg.RecordTimeline = opts.RecordTimeline
