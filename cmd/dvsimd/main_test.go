@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"smartbadge/internal/leaktest"
 )
 
 func TestUsageWithoutSubcommand(t *testing.T) {
@@ -69,6 +71,8 @@ func TestServeLifecycle(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not drain after SIGTERM")
 	}
+	// The signal watcher that ran the drain has exited too.
+	leaktest.Check(t, "main.run")
 	if !strings.Contains(out.String(), "drained") {
 		t.Errorf("no drain confirmation in output:\n%s", out.String())
 	}

@@ -83,9 +83,7 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stopping := make(chan struct{})
 	go func() {
-		defer close(stopping)
 		sig, ok := <-sigs
 		if ok {
 			fmt.Fprintf(out, "netchaos: %v received, stopping\n", sig)

@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"smartbadge/internal/leaktest"
 )
 
 func TestRunRequiresTarget(t *testing.T) {
@@ -104,6 +106,8 @@ func TestProxyLifecycle(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("proxy did not stop on SIGTERM\n%s", out.String())
 	}
+	// Both the signal watcher and every proxy goroutine have exited.
+	leaktest.Check(t, "main.run", "netfault.(*Proxy)")
 	for _, want := range []string{"netchaos: proxying", "terminated received", "stopped after 1 connection(s)", "fault fired: true"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())

@@ -1,6 +1,5 @@
 // Command smartbadge-lint is the project's static-analysis gate: it runs
-// the determinism, RNG-sharing, unit-safety, observability-discipline,
-// context-flow, lock-discipline, wire-safety and goroutine-join analyzers
+// the determinism, unit-safety, context-flow and lock-discipline analyzers
 // (see internal/analysis and DESIGN.md §10 "Invariants enforced by static
 // analysis") over the given packages and exits non-zero on any finding.
 //
@@ -31,24 +30,16 @@ import (
 	"smartbadge/internal/analysis"
 	"smartbadge/internal/analysis/ctxflow"
 	"smartbadge/internal/analysis/detcheck"
-	"smartbadge/internal/analysis/leakcheck"
 	"smartbadge/internal/analysis/lockcheck"
-	"smartbadge/internal/analysis/obscheck"
-	"smartbadge/internal/analysis/rngshare"
 	"smartbadge/internal/analysis/unitcheck"
-	"smartbadge/internal/analysis/wirecheck"
 )
 
 // Analyzers is the project suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
 	detcheck.Analyzer,
-	rngshare.Analyzer,
 	unitcheck.Analyzer,
-	obscheck.Analyzer,
 	ctxflow.Analyzer,
 	lockcheck.Analyzer,
-	wirecheck.Analyzer,
-	leakcheck.Analyzer,
 }
 
 // jsonFinding is the machine-readable record emitted per diagnostic in

@@ -13,9 +13,9 @@ import (
 
 // TestRepositoryIsLintClean runs the full analyzer suite over the module,
 // so `go test ./...` enforces the same invariants CI's dedicated lint step
-// does. A finding here means a determinism, unit-safety, obs-discipline,
-// context-flow, lock-discipline, wire-safety or goroutine-join regression
-// (or a missing //lint:allow with its recorded reason).
+// does. A finding here means a determinism, unit-safety, context-flow or
+// lock-discipline regression (or a missing //lint:allow with its recorded
+// reason).
 func TestRepositoryIsLintClean(t *testing.T) {
 	pkgs, err := analysis.Load("../..", "./...")
 	if err != nil {
@@ -34,10 +34,7 @@ func TestRepositoryIsLintClean(t *testing.T) {
 // analyzer cannot be added to internal/analysis without being wired into
 // the gate.
 func TestSuiteRoster(t *testing.T) {
-	want := []string{
-		"detcheck", "rngshare", "unitcheck", "obscheck",
-		"ctxflow", "lockcheck", "wirecheck", "leakcheck",
-	}
+	want := []string{"detcheck", "unitcheck", "ctxflow", "lockcheck"}
 	if len(Analyzers) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(Analyzers), len(want))
 	}

@@ -7,9 +7,10 @@
 // (cmd/smartbadge-lint), and test them against golden packages with
 // analysistest-style "// want" comments (see the analysistest subpackage).
 //
-// The project analyzers live in the detcheck, rngshare, unitcheck and
-// obscheck subpackages; DESIGN.md ("Invariants enforced by static analysis")
-// documents what each one guards.
+// The project analyzers live in the detcheck, unitcheck, ctxflow and
+// lockcheck subpackages, over the shared call graph in callgraph;
+// DESIGN.md ("Invariants enforced by static analysis") documents what each
+// one guards.
 //
 // # Suppression
 //

@@ -1,8 +1,7 @@
 // Package callgraph builds a conservative static call graph over the
 // type-checked ASTs the analysis framework already loads, and answers the
 // reachability questions the concurrency analyzers share: "can this function
-// block?", "does this package spawn goroutines?", "what does this call chain
-// reach?".
+// block?" and "does this package spawn goroutines?".
 //
 // The graph is deliberately conservative in both directions and the
 // analyzers built on it are written to stay quiet rather than clever:
@@ -344,39 +343,6 @@ func (g *Graph) FuncsIn(pkgPath string) []*Node {
 // PkgSpawnsGo reports whether any function (or literal) declared in the
 // package contains a `go` statement.
 func (g *Graph) PkgSpawnsGo(pkgPath string) bool { return g.spawning[pkgPath] }
-
-// Reaches runs a depth-first search over call edges from `from` and returns
-// the first node satisfying pred, or nil. through, when non-nil, restricts
-// which intermediate nodes may be traversed (pred is still tested on every
-// visited node, but excluded nodes are not expanded). Edge order is source
-// order, so the answer is deterministic.
-func (g *Graph) Reaches(from *Node, pred func(*Node) bool, through func(*Node) bool) *Node {
-	if from == nil {
-		return nil
-	}
-	visited := map[*Node]bool{from: true}
-	var dfs func(n *Node) *Node
-	dfs = func(n *Node) *Node {
-		for _, e := range n.Edges {
-			c := e.Callee
-			if visited[c] {
-				continue
-			}
-			visited[c] = true
-			if pred(c) {
-				return c
-			}
-			if through != nil && !through(c) {
-				continue
-			}
-			if hit := dfs(c); hit != nil {
-				return hit
-			}
-		}
-		return nil
-	}
-	return dfs(from)
-}
 
 // MayBlock reports whether n can block waiting on another goroutine or on
 // I/O: a channel operation, select, a known-blocking stdlib call, or —

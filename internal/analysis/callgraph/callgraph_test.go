@@ -100,22 +100,6 @@ func TestMayBlock(t *testing.T) {
 	}
 }
 
-func TestReaches(t *testing.T) {
-	g := buildGraph(t)
-	trans := node(t, g, "Transitive")
-	leafPred := func(n *callgraph.Node) bool { return n.ChanOps }
-	if hit := g.Reaches(trans, leafPred, nil); hit == nil || hit.Key != pkgPath+".ChanRecv" {
-		t.Errorf("Reaches(Transitive, ChanOps) = %v, want ChanRecv", hit)
-	}
-	// Restricting traversal to nothing still tests direct callees but does
-	// not expand them.
-	caller := node(t, g, "Caller")
-	deepPred := func(n *callgraph.Node) bool { return n.Key == pkgPath+".ChanRecv" }
-	if hit := g.Reaches(caller, deepPred, nil); hit != nil {
-		t.Errorf("Reaches(Caller, ChanRecv) = %v, want nil (no path)", hit)
-	}
-}
-
 func TestSignatures(t *testing.T) {
 	g := buildGraph(t)
 	if !node(t, g, "WithCtx").HasCtxParam {

@@ -15,10 +15,10 @@ func TestBoundaryPackage(t *testing.T) {
 	analysistest.Run(t, "testdata/server", ctxflow.Analyzer)
 }
 
-// TestBoundary pins the boundary definition: cmd binaries, examples and the
-// transport layer may mint root contexts; the engine packages may not.
+// TestBoundary pins the boundary definition: cmd binaries and the transport
+// layer may mint root contexts; the engine packages may not.
 func TestBoundary(t *testing.T) {
-	for _, above := range []string{"smartbadge/cmd/dvsimd", "cmd/dvsimd", "smartbadge/examples/quickstart", "smartbadge/internal/server"} {
+	for _, above := range []string{"smartbadge/cmd/dvsimd", "cmd/dvsimd", "smartbadge/internal/server"} {
 		if ctxflow.BelowBoundary(above) {
 			t.Errorf("BelowBoundary(%q) = true, want false (entry boundary)", above)
 		}

@@ -1,7 +1,7 @@
 // Package parallel is ctxflow's positive golden package: its import path
 // ends in "parallel" (a loop-checked package) and sits below the serving
-// boundary, so root contexts, dropped-sibling calls and ctx-blind blocking
-// loops must all be reported.
+// boundary, so root contexts and ctx-blind blocking loops must both be
+// reported.
 package parallel
 
 import "context"
@@ -12,18 +12,6 @@ func RunCtx(ctx context.Context, n int) error {
 		if err := ctx.Err(); err != nil { // observing loop: not flagged
 			return err
 		}
-		if err := step(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run is a context-free sibling of RunCtx. It creates no root context, so
-// it is not flagged itself; calling it while holding a ctx is (see
-// dropsSibling).
-func Run(n int) error {
-	for i := 0; i < n; i++ {
 		if err := step(i); err != nil {
 			return err
 		}
@@ -52,12 +40,6 @@ func rootBelowBoundary(n int) error {
 // todoBelowBoundary does the same with TODO.
 func todoBelowBoundary(n int) error {
 	return RunCtx(context.TODO(), n) // want `context\.TODO below the serving boundary`
-}
-
-// dropsSibling holds a context but calls the context-free variant.
-func dropsSibling(ctx context.Context, n int) error {
-	_ = ctx
-	return Run(n) // want `Run drops the context this function already holds; call RunCtx`
 }
 
 // blockingChan is a callee the call graph can prove blocking.

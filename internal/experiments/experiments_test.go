@@ -369,6 +369,22 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
+// TestParetoFrontierWorkerInvariance: the frontier renders byte-identically
+// on 1 and 4 workers.
+func TestParetoFrontierWorkerInvariance(t *testing.T) {
+	var out [2]string
+	for k, w := range []int{1, 4} {
+		points, err := ParetoFrontier(context.Background(), 1, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = FormatPareto(points)
+	}
+	if out[0] != out[1] {
+		t.Errorf("frontier differs across worker counts:\n-j1:\n%s\n-j4:\n%s", out[0], out[1])
+	}
+}
+
 func TestParetoFrontierShape(t *testing.T) {
 	points, err := ParetoFrontier(context.Background(), 1, 0)
 	if err != nil {

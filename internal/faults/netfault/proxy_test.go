@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smartbadge/internal/leaktest"
 )
 
 // startBackend runs a plain echo server and returns its address; it serves
@@ -36,7 +38,8 @@ func startBackend(t *testing.T) string {
 }
 
 // startProxy wires a proxy with the given plan in front of target and
-// returns its dial address plus a cancel that waits for Run to return.
+// returns its dial address plus a cancel that waits for Run to return and
+// then for every goroutine the proxy started to exit.
 func startProxy(t *testing.T, target string, plan Plan) (*Proxy, string, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -62,6 +65,7 @@ func startProxy(t *testing.T, target string, plan Plan) (*Proxy, string, func())
 			case <-time.After(5 * time.Second):
 				t.Error("proxy Run did not return after cancel")
 			}
+			leaktest.Check(t, "netfault.(*Proxy)")
 		})
 	}
 	t.Cleanup(stop)
@@ -171,9 +175,15 @@ func TestProxyCancelTearsDownInFlightConn(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	// Park a half-finished exchange on the wire, then cancel the proxy.
-	if _, err := c.Write([]byte("held open")); err != nil {
+	// Complete one echo so the splice is known to be pumping, leave the
+	// connection open, then cancel the proxy mid-splice.
+	msg := []byte("held open")
+	if _, err := c.Write(msg); err != nil {
 		t.Fatalf("write: %v", err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(c, make([]byte, len(msg))); err != nil {
+		t.Fatalf("echo before cancel: %v", err)
 	}
 	stop()
 	// The splice closed our leg: reads drain anything buffered, then fail.

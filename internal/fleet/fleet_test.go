@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,6 +211,42 @@ func TestRunCtxCancelsBetweenBadges(t *testing.T) {
 	rep, err := RunCtx(ctx, smallConfig(64, 2))
 	if rep != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("rep=%v err=%v, want nil + context.Canceled", rep, err)
+	}
+}
+
+// cancellingJournal cancels the run on its first Append and counts every
+// Append, i.e. every badge that completed.
+type cancellingJournal struct {
+	cancel  context.CancelFunc
+	appends atomic.Int32
+}
+
+func (j *cancellingJournal) Get(int) (json.RawMessage, bool) { return nil, false }
+
+func (j *cancellingJournal) Append(int, json.RawMessage) error {
+	j.appends.Add(1)
+	j.cancel()
+	return nil
+}
+
+// TestRunCtxStopsWithinOneBadgePerShard pins where a cancellation lands:
+// each shard finishes the badge it is simulating and starts no other, so
+// at most one badge per worker completes once the first one has cancelled
+// the run. A shard loop that stopped polling ctx would finish all 64.
+func TestRunCtxStopsWithinOneBadgePerShard(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		j := &cancellingJournal{cancel: cancel}
+		cfg := smallConfig(64, w)
+		cfg.Journal = j
+		rep, err := RunCtx(ctx, cfg)
+		cancel()
+		if rep != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: rep=%v err=%v, want nil + context.Canceled", w, rep, err)
+		}
+		if n := j.appends.Load(); n > int32(w) {
+			t.Errorf("workers=%d: %d badges completed, want at most one per worker", w, n)
+		}
 	}
 }
 

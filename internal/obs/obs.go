@@ -19,11 +19,14 @@
 //     bit-identical with and without an attached Obs.
 //   - Handles are resolved once. Instrument points look a Counter or
 //     Histogram up by name at construction time and then update through the
-//     returned pointer: no map lookups or string hashing on hot paths.
-//   - Single-writer instruments. A Registry's name table is guarded for
-//     concurrent registration, but the instruments themselves are owned by
-//     one goroutine at a time (one run = one registry), matching how the
-//     simulator and the characterisation collector use them.
+//     returned pointer: no map lookups or string hashing on hot paths. The
+//     Registry counts its name resolutions, and a test pins that the count
+//     does not grow with the length of the simulated workload.
+//   - Single goroutine. A Registry, its name table and its instruments
+//     have no lock: one goroutine owns them (one run = one registry),
+//     matching how the simulator and the characterisation collector use
+//     them. Concurrent writers use SyncRegistry, and lockcheck forbids raw
+//     Registry instruments in any package that starts goroutines.
 package obs
 
 import (
@@ -163,6 +166,9 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	timers   map[string]*PhaseTimer
+	// lookups counts name resolutions (Counter, Gauge, Histogram, Timer
+	// calls), read by tests to prove handles are resolved once per run.
+	lookups int
 }
 
 // NewRegistry returns an empty registry.
@@ -181,6 +187,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.lookups++
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -195,6 +202,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.lookups++
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -210,6 +218,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.lookups++
 	h, ok := r.hists[name]
 	if !ok {
 		b := make([]float64, len(bounds))
@@ -226,6 +235,7 @@ func (r *Registry) Timer(name string) *PhaseTimer {
 	if r == nil {
 		return nil
 	}
+	r.lookups++
 	t, ok := r.timers[name]
 	if !ok {
 		t = &PhaseTimer{}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"smartbadge/internal/leaktest"
 	"smartbadge/internal/stats"
 )
 
@@ -50,10 +52,18 @@ func TestForEachErrorPropagatesAndCancels(t *testing.T) {
 	sentinel := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
+		// Tasks after the failing one park until it has failed, so a worker
+		// that claimed index 3 but is not yet scheduled cannot watch the
+		// others race through the whole batch.
+		failed := make(chan struct{})
 		err := ForEach(context.Background(), workers, 1000, func(i int) error {
 			ran.Add(1)
 			if i == 3 {
+				time.AfterFunc(10*time.Millisecond, func() { close(failed) })
 				return fmt.Errorf("task %d: %w", i, sentinel)
+			}
+			if i > 3 {
+				<-failed
 			}
 			return nil
 		})
@@ -67,6 +77,39 @@ func TestForEachErrorPropagatesAndCancels(t *testing.T) {
 			t.Errorf("workers=%d: %d tasks ran after early error", workers, got)
 		}
 	}
+}
+
+// TestForEachJoinsBlockedTasksAfterError is the join contract: when the
+// first error arrives while other calls are still blocked, ForEach returns
+// only after every call it started has returned, and no worker outlives it.
+func TestForEachJoinsBlockedTasksAfterError(t *testing.T) {
+	const w = 4
+	sentinel := errors.New("boom")
+	var started, finished atomic.Int32
+	allIn := make(chan struct{})
+	release := make(chan struct{})
+	err := ForEach(context.Background(), w, 100, func(i int) error {
+		defer finished.Add(1)
+		if started.Add(1) == w {
+			close(allIn)
+		}
+		if i == w-1 {
+			// Fail while the other w-1 calls are parked, and unpark them
+			// only after this error has reached the pool.
+			<-allIn
+			time.AfterFunc(20*time.Millisecond, func() { close(release) })
+			return sentinel
+		}
+		<-release
+		return nil
+	})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if s, f := started.Load(), finished.Load(); f != s {
+		t.Fatalf("ForEach returned with %d of %d started calls finished", f, s)
+	}
+	leaktest.Check(t, "parallel.ForEach")
 }
 
 func TestForEachJoinsMultipleErrors(t *testing.T) {

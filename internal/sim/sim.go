@@ -888,13 +888,10 @@ func (s *Simulator) publishMetrics() {
 		reg.Gauge("sim.guard_engaged_s").Set(s.res.GuardEngagedS)
 	}
 	for i, c := range s.badge {
-		//lint:allow obscheck one-shot end-of-run publication, names vary per component
 		reg.Gauge("sim.energy_j." + c.Name).Set(s.energyComp[i])
 	}
 	for m := ModeDecode; m < numModes; m++ {
-		//lint:allow obscheck one-shot end-of-run publication, names vary per mode
 		reg.Gauge("sim.time_in_mode_s." + m.String()).Set(s.res.TimeInMode[m])
-		//lint:allow obscheck one-shot end-of-run publication, names vary per mode
 		reg.Gauge("sim.energy_by_mode_j." + m.String()).Set(s.res.EnergyByMode[m])
 	}
 	// Publish residency in ascending operating-point order so registration
@@ -905,7 +902,6 @@ func (s *Simulator) publishMetrics() {
 	}
 	sort.Float64s(points)
 	for _, mhz := range points {
-		//lint:allow obscheck one-shot end-of-run publication, names vary per operating point
 		reg.Gauge(fmt.Sprintf("sim.op_residency_s.%gmhz", mhz)).Set(s.opResidency[mhz])
 	}
 }
