@@ -830,9 +830,10 @@ func BenchmarkFleet(b *testing.B) {
 }
 
 // BenchmarkSimHotPath measures the simulator event loop alone — trace and
-// controller construction are outside the timed region — so the
-// energy-accounting rewrite (indexed component accumulators, cached per-mode
-// power vectors, O(1) arrival peek) shows up directly in ns/op and allocs/op.
+// controller construction are outside the timed region — so changes to the
+// loop itself (indexed component accumulators, cached per-mode power
+// vectors, one pending-event slot per kind) show up directly in ns/op and
+// allocs/op.
 func BenchmarkSimHotPath(b *testing.B) {
 	tr := ablationTrace(b, 1)
 	first := tr.Changes[0]

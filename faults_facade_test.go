@@ -25,6 +25,9 @@ func TestOptionsValidate(t *testing.T) {
 	nanWork = &Trace{Frames: append([]workload.TraceFrame(nil), nanWork.Frames...), Changes: nanWork.Changes}
 	nanWork.Frames[0].Work = math.NaN()
 
+	badClip, _ := MP3Trace(1, "AB")
+	badClip.Frames[10].ClipIndex = -1
+
 	cases := []struct {
 		name string
 		opts Options
@@ -40,6 +43,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"shuffled Seq", Options{Trace: badSeq}, false, "Seq"},
 		{"arrivals go backwards", Options{Trace: backwards}, false, "before frame"},
 		{"NaN work", Options{Trace: nanWork}, false, "decode work"},
+		{"negative clip index", Options{Trace: badClip}, false, "clip index"},
 		{"bogus application", Options{Trace: good, Application: "walkman"}, false, "unknown application"},
 		{"bogus policy", Options{Trace: good, Policy: "vibes"}, false, "unknown policy"},
 		{"bogus dpm", Options{Trace: good, DPM: "nap"}, false, "unknown DPM"},
@@ -62,9 +66,14 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
-	// Run must reject what Validate rejects, before doing any work.
-	if _, err := Run(Options{Trace: badSeq}); err == nil {
-		t.Error("Run accepted a trace Validate rejects")
+	// Run must reject what Validate rejects, before doing any work: the
+	// simulator's arrival handler indexes the clip list with ClipIndex, so a
+	// negative one must never reach it.
+	for _, tr := range []*Trace{badSeq, badClip} {
+		want := Options{Trace: tr}.Validate()
+		if _, err := Run(Options{Trace: tr}); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("Run returned %v, want Validate's error %v", err, want)
+		}
 	}
 }
 

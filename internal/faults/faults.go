@@ -416,8 +416,9 @@ func Apply(rng *stats.RNG, tr *workload.Trace, sc Scenario, o *obs.Obs) (*Inject
 	}
 
 	// Safety net: the per-window remappings preserve arrival order, but keep
-	// the invariant explicit — the simulator's event heap requires
-	// non-decreasing arrivals per frame index.
+	// the invariant explicit — the simulator requires non-decreasing
+	// arrivals per frame index (an earlier arrival would run its clock
+	// backwards, an internal error).
 	for i := 1; i < len(frames); i++ {
 		if frames[i].Arrival < frames[i-1].Arrival {
 			frames[i].Arrival = frames[i-1].Arrival

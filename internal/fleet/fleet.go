@@ -6,11 +6,11 @@
 // isolation and the batch result is bit-identical for any worker count.
 //
 // Execution is sharded, not work-stolen: worker w of W simulates badges
-// w, w+W, w+2W, … and owns one sim.Scratch recycled across its runs (event
-// heap, energy accumulators, power vectors — the per-run allocations that
-// dominate small simulations). Results land in an index-addressed slice and
-// aggregates are folded serially afterwards, which is what makes the report
-// independent of scheduling and of W.
+// w, w+W, w+2W, … and owns one sim.Scratch recycled across its runs (energy
+// accumulators and power vectors, the simulator's per-run slices). Results
+// land in an index-addressed slice and aggregates are folded serially
+// afterwards, which is what makes the report independent of scheduling and
+// of W.
 //
 // fleet is part of the determinism contract (see
 // internal/analysis/detcheck): no wall clock, no ambient math/rand, no

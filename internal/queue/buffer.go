@@ -1,7 +1,5 @@
 package queue
 
-import "fmt"
-
 // Frame is one unit of work in the buffer: an encoded audio or video frame
 // that arrived from the WLAN and awaits decoding.
 type Frame struct {
@@ -27,9 +25,6 @@ type Buffer struct {
 	head int
 	// peak tracks the maximum occupancy seen.
 	peak int
-	// totalArrived and totalServed count throughput.
-	totalArrived int64
-	totalServed  int64
 }
 
 // NewBuffer returns an empty frame buffer.
@@ -44,7 +39,6 @@ func (b *Buffer) Empty() bool { return b.Len() == 0 }
 // Push appends a frame.
 func (b *Buffer) Push(f Frame) {
 	b.frames = append(b.frames, f)
-	b.totalArrived++
 	if n := b.Len(); n > b.peak {
 		b.peak = n
 	}
@@ -58,7 +52,6 @@ func (b *Buffer) Pop() Frame {
 	}
 	f := b.frames[b.head]
 	b.head++
-	b.totalServed++
 	// Compact once the dead prefix dominates, amortised O(1).
 	if b.head > 64 && b.head*2 >= len(b.frames) {
 		n := copy(b.frames, b.frames[b.head:])
@@ -79,15 +72,3 @@ func (b *Buffer) Peek() Frame {
 
 // Peak returns the maximum occupancy observed since creation.
 func (b *Buffer) Peak() int { return b.peak }
-
-// Arrived returns the total number of frames ever pushed.
-func (b *Buffer) Arrived() int64 { return b.totalArrived }
-
-// Served returns the total number of frames ever popped.
-func (b *Buffer) Served() int64 { return b.totalServed }
-
-// String implements fmt.Stringer.
-func (b *Buffer) String() string {
-	return fmt.Sprintf("Buffer{len=%d peak=%d arrived=%d served=%d}",
-		b.Len(), b.peak, b.totalArrived, b.totalServed)
-}

@@ -135,6 +135,28 @@ func TestInternalErrorRecoveredFromRun(t *testing.T) {
 	}
 }
 
+// TestMisfiredTimerIsInternalError: a deepen timer may only fire while the
+// badge sleeps. One planted before Run fires in the awake idle of t=0 and
+// must abort the run with an *InternalError instead of deepening an awake
+// badge.
+func TestMisfiredTimerIsInternalError(t *testing.T) {
+	s, err := New(Config{
+		Badge:      device.SmartBadge(),
+		Proc:       sa1100.Default(),
+		Trace:      mp3Trace(t, 12, "A"),
+		Controller: idealController(t, perfmodel.MP3Curve(), 0.15, false),
+		Kind:       workload.MP3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.schedule(evDeepenTimer, event{time: 0, target: device.Off})
+	var ie *InternalError
+	if _, err := s.Run(); !errors.As(err, &ie) || !strings.Contains(ie.Reason, "deepen timer fired in idle mode") {
+		t.Fatalf("Run returned %v, want an *InternalError for the misfired deepen timer", err)
+	}
+}
+
 // panicPolicy is a DPM policy that panics on its first decision — a stand-in
 // for a foreign bug that must NOT be converted into a sim.InternalError.
 type panicPolicy struct{}

@@ -61,6 +61,18 @@ func (m Mode) String() string {
 	}
 }
 
+// idleResetGapS: an arrival after at least this much idle time starts a fresh
+// burst — the gap sample is NOT fed to the arrival estimator, since the
+// paper's exponential arrival model holds only in the active state.
+const idleResetGapS = 1.0
+
+// wlanRxS is the radio's active receive time per frame. The WLAN's energy
+// follows the *arrival* stream, not the decode schedule: each frame costs a
+// fixed RX burst and the radio otherwise sits in its idle (listening) state
+// while the badge is awake, so slowing the CPU down does not inflate radio
+// energy.
+const wlanRxS = 0.004
+
 // Config assembles one simulation run.
 type Config struct {
 	Badge *device.Badge
@@ -75,17 +87,6 @@ type Config struct {
 	// generated from a clip list override this per clip, so mixed audio/video
 	// sequences (the Table 5 scenario) account each burst correctly.
 	Kind workload.Kind
-	// IdleResetGap: an arrival after at least this much idle time starts a
-	// fresh burst — the gap sample is NOT fed to the arrival estimator, since
-	// the paper's exponential arrival model holds only in the active state.
-	// Zero selects the default of 1 second.
-	IdleResetGap float64
-	// WLANRxS is the radio's active receive time per frame. The WLAN's
-	// energy follows the *arrival* stream, not the decode schedule: each
-	// frame costs a fixed RX burst and the radio otherwise sits in its idle
-	// (listening) state while the badge is awake, so slowing the CPU down
-	// does not inflate radio energy. Zero selects the default of 4 ms.
-	WLANRxS float64
 	// BufferCap bounds the frame buffer (the real SmartBadge has finite
 	// memory for buffered frames). Arrivals to a full buffer are dropped and
 	// counted in Result.FramesDropped. 0 means unbounded.
@@ -118,8 +119,8 @@ type Config struct {
 	// work). All draw inside [StartS, EndS) is multiplied by Factor. Windows
 	// must be non-overlapping; nil leaves the power model untouched.
 	Derate []PowerDerate
-	// Scratch, when non-nil, recycles the hot-path allocations (event heap,
-	// per-component energy accumulators, power vectors) from a previous run —
+	// Scratch, when non-nil, recycles the hot-path allocations
+	// (per-component energy accumulators, power vectors) from a previous run —
 	// the sync.Pool-style per-worker reuse the fleet batch engine
 	// (internal/fleet) relies on. Results are bit-identical with and without
 	// a Scratch; a Scratch must never be used by two simulations
@@ -128,11 +129,10 @@ type Config struct {
 }
 
 // Scratch holds reusable per-run simulator state. A zero Scratch is ready to
-// use; it warms up over the first run and is handed back (with its grown
-// capacities) when Run completes. One Scratch serves any sequence of
-// configurations — capacities adapt — but only one run at a time.
+// use; it warms up over the first run and is handed back when Run completes.
+// One Scratch serves any sequence of configurations — slices are resized to
+// the badge — but only one run at a time.
 type Scratch struct {
-	events     eventHeap
 	energy     []float64
 	lastEnergy []float64
 	power      [numModes][]float64
@@ -221,6 +221,10 @@ type Result struct {
 	Timeline []ModeSpan
 }
 
+// eventKind indexes the simulator's pending-event slots. The badge has one
+// frame buffer and one decoder, and its power manager decides only at idle
+// entry, so at most one event of each kind is ever pending: the next
+// arrival, the current decode, one sleep/deepen timer pair and one wake-up.
 type eventKind int
 
 const (
@@ -229,68 +233,14 @@ const (
 	evSleepTimer
 	evDeepenTimer
 	evWakeDone
+	numEventKinds
 )
 
 type event struct {
 	time   float64
-	seq    int64 // tiebreaker for deterministic ordering
-	kind   eventKind
-	epoch  int // guards stale sleep timers
+	seq    int64 // schedule order, from 1; 0 marks an empty slot
 	frame  int
-	target device.PowerState // sleep timer's destination state
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq). It
-// stores events directly rather than going through container/heap, whose
-// interface{} Push/Pop boxes every event — two allocations per event, the
-// dominant allocation cost of a run. seq is unique, so the order is total
-// and pops are deterministic.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		left, right := 2*i+1, 2*i+2
-		min := i
-		if left < n && q.less(left, min) {
-			min = left
-		}
-		if right < n && q.less(right, min) {
-			min = right
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
+	target device.PowerState // sleep or deepen timer's destination state
 }
 
 // InternalError reports a violated simulator invariant — a bug in the
@@ -322,20 +272,17 @@ type Simulator struct {
 	// the controller's selection is applied at frame boundaries.
 	appliedOp sa1100.OperatingPoint
 	buffer    *queue.Buffer
-	events    eventHeap
-	seq       int64
-	epoch     int
-	decoding  bool
+	// pending holds one slot per event kind (see eventKind); seq counts the
+	// events scheduled so far.
+	pending  [numEventKinds]event
+	seq      int64
+	decoding bool
 	// sleepState is the low-power state while in ModeSleep.
 	sleepState device.PowerState
 	idleSince  float64
 	lastArrive float64
 	haveArrive bool
 	nextFrame  int
-	// pendingArrival is the time of the single outstanding evArrival in the
-	// heap, or -1 when the trace is exhausted — an O(1) replacement for
-	// scanning the heap at every idle entry.
-	pendingArrival float64
 	// curKind is the application kind of the burst currently streaming,
 	// taken from the arriving frame's clip.
 	curKind workload.Kind
@@ -382,18 +329,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.DPM == nil {
 		cfg.DPM = dpm.AlwaysOn{}
 	}
-	if cfg.IdleResetGap == 0 {
-		cfg.IdleResetGap = 1.0
-	}
-	if cfg.IdleResetGap < 0 {
-		return nil, fmt.Errorf("sim: negative idle reset gap")
-	}
-	if cfg.WLANRxS == 0 {
-		cfg.WLANRxS = 0.004
-	}
-	if cfg.WLANRxS < 0 {
-		return nil, fmt.Errorf("sim: negative WLAN RX time")
-	}
 	if cfg.BufferCap < 0 {
 		return nil, fmt.Errorf("sim: negative buffer capacity")
 	}
@@ -402,21 +337,19 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:            cfg,
-		badge:          cfg.Badge.Components(),
-		mode:           ModeAwakeIdle,
-		appliedOp:      cfg.Controller.Current(),
-		buffer:         queue.NewBuffer(),
-		curKind:        cfg.Kind,
-		pendingArrival: -1,
-		derate:         derate,
+		cfg:       cfg,
+		badge:     cfg.Badge.Components(),
+		mode:      ModeAwakeIdle,
+		appliedOp: cfg.Controller.Current(),
+		buffer:    queue.NewBuffer(),
+		curKind:   cfg.Kind,
+		derate:    derate,
 	}
 	if sc := cfg.Scratch; sc != nil {
-		// Recycle the previous run's allocations. The event heap is emptied,
-		// energy accumulators are zeroed, and power vectors of the right
-		// length are adopted as raw capacity: powerOK starts false for every
-		// mode, so modePower rebuilds each vector before its first read.
-		s.events = sc.events[:0]
+		// Recycle the previous run's allocations. Energy accumulators are
+		// zeroed, and power vectors of the right length are adopted as raw
+		// capacity: powerOK starts false for every mode, so modePower
+		// rebuilds each vector before its first read.
 		s.energyComp = resizeZero(sc.energy, len(s.badge))
 		for m := range sc.power {
 			if len(sc.power[m]) == len(s.badge) {
@@ -431,7 +364,7 @@ func New(cfg Config) (*Simulator, error) {
 		switch c.Name {
 		case device.NameWLAN:
 			s.wlanIdx = i
-			s.wlanRxE = (c.Power(device.Active) - c.Power(device.Idle)) * cfg.WLANRxS
+			s.wlanRxE = (c.Power(device.Active) - c.Power(device.Idle)) * wlanRxS
 		case device.NameSRAM:
 			s.sramIdx = i
 			s.sramCoef = (c.Power(device.Active) - c.Power(device.Idle)) * perfmodel.MP3Curve().MemFraction
@@ -662,22 +595,46 @@ func (s *Simulator) derateFactorAt(tm float64) float64 {
 	return 1
 }
 
-func (s *Simulator) push(e event) {
+// schedule fills kind k's slot with e, stamping its schedule order. The slot
+// must be empty: the one-event-per-kind premise is checked, not assumed.
+func (s *Simulator) schedule(k eventKind, e event) {
+	if s.pending[k].seq != 0 {
+		internalf("event kind %d scheduled while one is pending", k)
+	}
 	s.seq++
 	e.seq = s.seq
-	s.events.push(e)
+	s.pending[k] = e
 }
 
-// scheduleNextArrival queues the next trace frame, if any, and keeps the
-// tracked pendingArrival time in sync.
+// next empties and returns the occupied slot with the least (time, seq);
+// ok is false when no event is pending. Events due at the same time pop in
+// the order they were scheduled, whatever their kind.
+func (s *Simulator) next() (k eventKind, e event, ok bool) {
+	for i := range s.pending {
+		p := &s.pending[i]
+		if p.seq != 0 && (!ok || p.time < e.time || p.time == e.time && p.seq < e.seq) {
+			k, e, ok = eventKind(i), *p, true
+		}
+	}
+	if ok {
+		s.pending[k] = event{}
+	}
+	return k, e, ok
+}
+
+// cancelTimers empties the sleep and deepen slots: an arrival has ended the
+// idle period that armed them.
+func (s *Simulator) cancelTimers() {
+	s.pending[evSleepTimer] = event{}
+	s.pending[evDeepenTimer] = event{}
+}
+
+// scheduleNextArrival fills the arrival slot with the next trace frame, if
+// any.
 func (s *Simulator) scheduleNextArrival() {
 	if s.nextFrame < len(s.cfg.Trace.Frames) {
-		t := s.cfg.Trace.Frames[s.nextFrame].Arrival
-		s.push(event{time: t, kind: evArrival, frame: s.nextFrame})
-		s.pendingArrival = t
+		s.schedule(evArrival, event{time: s.cfg.Trace.Frames[s.nextFrame].Arrival, frame: s.nextFrame})
 		s.nextFrame++
-	} else {
-		s.pendingArrival = -1
 	}
 }
 
@@ -719,7 +676,7 @@ func (s *Simulator) startDecodeIfPossible() {
 		s.tr.Emit(obs.Event{T: s.now, Kind: "decode_start", Frame: f.Seq + 1,
 			Queue: s.buffer.Len(), ToMHz: s.appliedOp.FrequencyMHz})
 	}
-	s.push(event{time: s.now + extra + f.Work/perf, kind: evDecodeDone, frame: f.Seq})
+	s.schedule(evDecodeDone, event{time: s.now + extra + f.Work/perf, frame: f.Seq})
 }
 
 // enterIdle handles the transition into the idle state: the paper's single
@@ -730,7 +687,6 @@ func (s *Simulator) enterIdle() {
 		s.tr.Emit(obs.Event{T: s.now, Kind: "idle_enter", Queue: s.buffer.Len()})
 	}
 	s.idleSince = s.now
-	s.epoch++
 	next := s.peekNextArrivalTime()
 	if next < 0 {
 		return // no more arrivals: the run is draining, never sleep
@@ -738,23 +694,20 @@ func (s *Simulator) enterIdle() {
 	// Oracle information: the true length of the idle period just starting.
 	dec := s.cfg.DPM.Decide(next - s.now)
 	if dec.Sleep {
-		s.push(event{time: s.now + dec.Timeout, kind: evSleepTimer, epoch: s.epoch, target: dec.Target})
+		s.schedule(evSleepTimer, event{time: s.now + dec.Timeout, target: dec.Target})
 		if dec.DeepenAfter > 0 {
-			s.push(event{
-				time:   s.now + dec.Timeout + dec.DeepenAfter,
-				kind:   evDeepenTimer,
-				epoch:  s.epoch,
-				target: dec.DeepenTarget,
-			})
+			s.schedule(evDeepenTimer, event{time: s.now + dec.Timeout + dec.DeepenAfter, target: dec.DeepenTarget})
 		}
 	}
 }
 
-// peekNextArrivalTime returns the next pending arrival's time or -1 when the
-// trace is exhausted. The time is tracked in scheduleNextArrival/Run rather
-// than found by scanning the heap, so idle entry is O(1).
+// peekNextArrivalTime returns the pending arrival's time, or -1 when the
+// trace is exhausted.
 func (s *Simulator) peekNextArrivalTime() float64 {
-	return s.pendingArrival
+	if a := &s.pending[evArrival]; a.seq != 0 {
+		return a.time
+	}
+	return -1
 }
 
 // Run executes the simulation to completion and returns the result. A
@@ -778,25 +731,21 @@ func (s *Simulator) Run() (_ *Result, err error) {
 	s.scheduleNextArrival()
 	s.enterIdle()
 	frames := s.cfg.Trace.Frames
-	for s.events.Len() > 0 {
-		e := s.events.pop()
-		switch e.kind {
+	for k, e, ok := s.next(); ok; k, e, ok = s.next() {
+		s.chargeTo(e.time)
+		switch k {
 		case evArrival:
-			s.chargeTo(e.time)
-			// This arrival is leaving the heap; scheduleNextArrival below
-			// re-establishes the tracked pending time (or -1 at trace end).
-			s.pendingArrival = -1
-			f := frames[e.frame]
-			s.handleArrival(f)
+			s.handleArrival(frames[e.frame])
 			s.scheduleNextArrival()
 		case evDecodeDone:
-			s.chargeTo(e.time)
 			s.handleDecodeDone(frames[e.frame])
 		case evSleepTimer:
-			if e.epoch != s.epoch || s.mode != ModeAwakeIdle {
-				continue // stale: activity resumed before the timeout
+			// The arrival that ends an idle period cancels both of its
+			// timers, so the sleep timer fires in the awake idle that armed
+			// it and the deepen timer in the sleep the sleep timer began.
+			if s.mode != ModeAwakeIdle {
+				internalf("sleep timer fired in %v mode", s.mode)
 			}
-			s.chargeTo(e.time)
 			s.setMode(ModeSleep)
 			s.setSleepState(e.target)
 			s.res.Sleeps++
@@ -804,10 +753,9 @@ func (s *Simulator) Run() (_ *Result, err error) {
 				s.tr.Emit(obs.Event{T: s.now, Kind: "sleep", Target: e.target.String()})
 			}
 		case evDeepenTimer:
-			if e.epoch != s.epoch || s.mode != ModeSleep {
-				continue // stale: the badge woke (or never slept)
+			if s.mode != ModeSleep {
+				internalf("deepen timer fired in %v mode", s.mode)
 			}
-			s.chargeTo(e.time)
 			if s.tr != nil {
 				// The sleep-state power changes here: flush the energy accrued
 				// in the shallower state before deepening.
@@ -817,7 +765,6 @@ func (s *Simulator) Run() (_ *Result, err error) {
 			s.setSleepState(e.target)
 			s.res.Deepens++
 		case evWakeDone:
-			s.chargeTo(e.time)
 			s.setMode(ModeAwakeIdle)
 			if s.tr != nil {
 				s.tr.Emit(obs.Event{T: s.now, Kind: "wake_done", Queue: s.buffer.Len()})
@@ -851,9 +798,7 @@ func (s *Simulator) Run() (_ *Result, err error) {
 	}
 	s.publishMetrics()
 	if sc := s.cfg.Scratch; sc != nil {
-		// Hand the (possibly grown) buffers back so the next run on this
-		// scratch starts from their high-water capacity.
-		sc.events = s.events
+		// Hand the buffers back for the next run on this scratch.
 		sc.energy = s.energyComp
 		sc.lastEnergy = s.lastEnergy
 		sc.power = s.powerVec
@@ -930,7 +875,7 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	if s.haveArrive {
 		gap := f.Arrival - s.lastArrive
 		spansIdle := s.mode == ModeSleep || s.mode == ModeWake ||
-			(s.mode == ModeAwakeIdle && !s.decoding && s.buffer.Empty() && gap > s.cfg.IdleResetGap)
+			(s.mode == ModeAwakeIdle && !s.decoding && s.buffer.Empty() && gap > idleResetGapS)
 		if !spansIdle {
 			s.cfg.Controller.OnArrival(gap, f.TrueArrivalRate)
 		}
@@ -940,7 +885,7 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	if clips := s.cfg.Trace.Clips; len(clips) > 0 && f.ClipIndex < len(clips) {
 		s.setCurKind(clips[f.ClipIndex].Kind)
 	}
-	// The radio's RX burst for this frame (see Config.WLANRxS).
+	// The radio's RX burst for this frame (see wlanRxS).
 	if s.wlanIdx >= 0 {
 		rxE := s.wlanRxE
 		if len(s.derate) > 0 {
@@ -975,18 +920,18 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	case ModeSleep:
 		// Wake up: the DPM observes the completed idle period.
 		s.cfg.DPM.ObserveIdle(s.now - s.idleSince)
-		s.epoch++
+		s.cancelTimers()
 		wake := s.cfg.Badge.WakeLatency(s.sleepState)
 		slept := s.sleepState
 		s.setMode(ModeWake)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{T: s.now, Kind: "wake", Target: slept.String(), DelayS: wake})
 		}
-		s.push(event{time: s.now + wake, kind: evWakeDone})
+		s.schedule(evWakeDone, event{time: s.now + wake})
 	case ModeAwakeIdle:
 		if !s.decoding {
 			s.cfg.DPM.ObserveIdle(s.now - s.idleSince)
-			s.epoch++ // cancel any pending sleep timer
+			s.cancelTimers()
 		}
 		s.startDecodeIfPossible()
 	case ModeWake, ModeDecode:

@@ -365,7 +365,6 @@ func TestConfigValidation(t *testing.T) {
 		{Badge: badge, Proc: proc, Controller: ctrl},
 		{Badge: badge, Proc: proc, Trace: tr},
 		{Badge: badge, Proc: proc, Trace: &workload.Trace{}, Controller: ctrl},
-		{Badge: badge, Proc: proc, Trace: tr, Controller: ctrl, IdleResetGap: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -788,8 +787,10 @@ func TestChangePointPolicyEndToEnd(t *testing.T) {
 }
 
 // recordingDPM wraps a policy, recording the oracle idle length of every
-// Decide call and cross-checking the simulator's O(1) arrival peek against a
-// linear scan of the event heap at each idle entry.
+// Decide call and cross-checking the simulator's arrival-slot peek against
+// the trace at each idle entry: the buffer is empty there, so every frame
+// that arrived was decoded or dropped, and the next arrival is the frame
+// after them.
 type recordingDPM struct {
 	inner   dpm.Policy
 	sim     *Simulator
@@ -799,15 +800,13 @@ type recordingDPM struct {
 
 func (r *recordingDPM) Decide(oracleIdle float64) dpm.Decision {
 	r.oracles = append(r.oracles, oracleIdle)
-	if r.sim != nil {
+	if s := r.sim; s != nil {
 		want := -1.0
-		for _, e := range r.sim.events {
-			if e.kind == evArrival && (want < 0 || e.time < want) {
-				want = e.time
-			}
+		if n := s.res.FramesDecoded + s.res.FramesDropped; n < len(s.cfg.Trace.Frames) {
+			want = s.cfg.Trace.Frames[n].Arrival
 		}
-		if got := r.sim.peekNextArrivalTime(); got != want {
-			r.t.Errorf("peekNextArrivalTime = %v, heap scan says %v", got, want)
+		if got := s.peekNextArrivalTime(); got != want {
+			r.t.Errorf("peekNextArrivalTime = %v, the trace says %v", got, want)
 		}
 	}
 	return r.inner.Decide(oracleIdle)
@@ -815,12 +814,12 @@ func (r *recordingDPM) Decide(oracleIdle float64) dpm.Decision {
 func (r *recordingDPM) ObserveIdle(d float64) { r.inner.ObserveIdle(d) }
 func (r *recordingDPM) Name() string          { return r.inner.Name() }
 
-// TestIdleDrainsWithoutArrivals is the regression test for the tracked
-// pendingArrival field: every idle entry while frames remain must consult the
-// DPM policy with the true (positive) gap to the next arrival, and the final
-// idle entry after the trace is exhausted must drain the run without asking
-// the policy to sleep — otherwise an eager timeout policy would park the
-// badge in standby forever (or charge phantom sleep energy past trace end).
+// TestIdleDrainsWithoutArrivals is the regression test for the arrival-slot
+// peek: every idle entry while frames remain must consult the DPM policy with
+// the true (positive) gap to the next arrival, and the final idle entry after
+// the trace is exhausted must drain the run without asking the policy to
+// sleep — otherwise an eager timeout policy would park the badge in standby
+// forever (or charge phantom sleep energy past trace end).
 func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	const tau = 0.05
 	pol, err := dpm.NewFixedTimeout(tau, device.Standby)
@@ -848,12 +847,14 @@ func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	if res.FramesDecoded != len(cfg.Trace.Frames) {
 		t.Fatalf("decoded %d of %d frames", res.FramesDecoded, len(cfg.Trace.Frames))
 	}
-	// Drained: the tracked peek reports trace exhaustion and no events remain.
+	// Drained: the peek reports trace exhaustion and every slot is empty.
 	if got := s.peekNextArrivalTime(); got != -1 {
 		t.Errorf("after drain peekNextArrivalTime = %v, want -1", got)
 	}
-	if n := s.events.Len(); n != 0 {
-		t.Errorf("after drain %d events still queued", n)
+	for k, e := range s.pending {
+		if e.seq != 0 {
+			t.Errorf("after drain event kind %d still pending at t=%v", k, e.time)
+		}
 	}
 	if s.mode != ModeAwakeIdle {
 		t.Errorf("after drain mode = %v, want %v (never sleep once arrivals end)", s.mode, ModeAwakeIdle)
@@ -879,5 +880,74 @@ func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	}
 	if res.Sleeps != want {
 		t.Errorf("Sleeps = %d, want %d (idle periods longer than %gs)", res.Sleeps, want, tau)
+	}
+}
+
+// TestNextPopsTiesInScheduleOrder pins the slot queue's order: the earliest
+// time first, and events due at the same time in the order they were
+// scheduled, never by kind index. Same-instant events are routine (a wake-up
+// and an arrival, a decode completion and an arrival), and their order
+// decides which one sees the other's state.
+func TestNextPopsTiesInScheduleOrder(t *testing.T) {
+	for _, order := range [][2]eventKind{{evWakeDone, evArrival}, {evArrival, evWakeDone}} {
+		s := &Simulator{}
+		s.schedule(evSleepTimer, event{time: 2})
+		s.schedule(order[0], event{time: 1})
+		s.schedule(order[1], event{time: 1})
+		for i, want := range []eventKind{order[0], order[1], evSleepTimer} {
+			if k, _, ok := s.next(); !ok || k != want {
+				t.Errorf("schedule order %v: pop %d = kind %d (ok %v), want %d", order, i, k, ok, want)
+			}
+		}
+		if k, _, ok := s.next(); ok {
+			t.Errorf("schedule order %v: kind %d popped from an empty queue", order, k)
+		}
+	}
+}
+
+// TestScheduleIntoOccupiedSlotIsInternalError: at most one event of each kind
+// is ever pending, and a second one is a simulator bug, not a silent
+// overwrite.
+func TestScheduleIntoOccupiedSlotIsInternalError(t *testing.T) {
+	s := &Simulator{}
+	s.schedule(evDecodeDone, event{time: 1})
+	defer func() {
+		if _, ok := recover().(*InternalError); !ok {
+			t.Error("scheduling into an occupied slot did not panic with *InternalError")
+		}
+	}()
+	s.schedule(evDecodeDone, event{time: 2})
+}
+
+// TestEventsScheduledPerRun pins how many events two fixed runs schedule, the
+// simulator's per-frame event cost: a change that schedules more per frame
+// fails here, and one that schedules fewer updates this table.
+func TestEventsScheduledPerRun(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want int64
+	}{{1, 40356}, {7, 40500}} {
+		badge := device.SmartBadge()
+		pol, err := dpm.NewFixedTimeout(dpm.CostsForBadge(badge, device.Standby).BreakEven(), device.Standby)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{
+			Badge:      badge,
+			Proc:       sa1100.Default(),
+			Trace:      gapTrace(t, c.seed),
+			Controller: idealController(t, perfmodel.MP3Curve(), 0.15, false),
+			DPM:        pol,
+			Kind:       workload.MP3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if s.seq != c.want {
+			t.Errorf("seed %d: scheduled %d events, want %d", c.seed, s.seq, c.want)
+		}
 	}
 }

@@ -126,5 +126,8 @@ func parseFrame(row []string) (TraceFrame, error) {
 	if f.ClipIndex, err = strconv.Atoi(row[3]); err != nil {
 		return f, fmt.Errorf("workload: bad clip index %q: %w", row[3], err)
 	}
+	if f.ClipIndex < 0 {
+		return f, fmt.Errorf("workload: negative clip index at seq %d", f.Seq)
+	}
 	return f, nil
 }

@@ -69,6 +69,7 @@ func TestReadCSVErrors(t *testing.T) {
 		"negative work":    header + "0,0.1,-0.01,0,20,95\n",
 		"zero work":        header + "0,0.1,0,0,20,95\n",
 		"bad clip":         header + "0,0.1,0.01,x,20,95\n",
+		"negative clip":    header + "0,0.1,0.01,-1,20,95\n",
 		"short row":        header + "0,0.1\n",
 		"non-increasing":   header + "0,0.1,0.01,0,20,95\n1,0.1,0.01,0,20,95\n",
 		"negative arrival": header + "0,-0.1,0.01,0,20,95\n",

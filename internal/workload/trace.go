@@ -212,7 +212,8 @@ func StepTrace(rng *stats.RNG, rate1, rate2, decodeRateMax float64, n1, n2 int) 
 // Validate checks the structural invariants the simulator relies on: at
 // least one frame; Seq equal to slice index (the simulator addresses frames
 // by index); finite, non-negative, non-decreasing arrivals; finite,
-// non-negative decode work; positive finite oracle rates; and a non-empty
+// non-negative decode work; a non-negative clip index, inside Clips when
+// Clips is non-empty; positive finite oracle rates; and a non-empty
 // rate-change schedule (the controller initialises from Changes[0]). Traces
 // built by this package's generators satisfy all of these; Validate exists
 // for traces arriving over the library boundary (CSV replay, hand-built
@@ -241,6 +242,9 @@ func (t *Trace) Validate() error {
 		prev = f.Arrival
 		if math.IsNaN(f.Work) || math.IsInf(f.Work, 0) || f.Work < 0 {
 			return fmt.Errorf("workload: frame %d has invalid decode work %v", i, f.Work)
+		}
+		if f.ClipIndex < 0 || len(t.Clips) > 0 && f.ClipIndex >= len(t.Clips) {
+			return fmt.Errorf("workload: frame %d has invalid clip index %d (%d clips)", i, f.ClipIndex, len(t.Clips))
 		}
 	}
 	for i, c := range t.Changes {

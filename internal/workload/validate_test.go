@@ -38,6 +38,18 @@ func TestTraceValidate(t *testing.T) {
 		{"decreasing arrival", func(tr *Trace) *Trace { tr.Frames[3].Arrival = 0.05; return tr }, "before frame"},
 		{"negative work", func(tr *Trace) *Trace { tr.Frames[1].Work = -0.01; return tr }, "invalid decode work"},
 		{"NaN work", func(tr *Trace) *Trace { tr.Frames[1].Work = math.NaN(); return tr }, "invalid decode work"},
+		{"negative clip index", func(tr *Trace) *Trace { tr.Frames[2].ClipIndex = -1; return tr }, "invalid clip index"},
+		{"clip index past the clip list", func(tr *Trace) *Trace {
+			tr.Clips = []Clip{{Label: "A"}, {Label: "B"}}
+			tr.Frames[4].ClipIndex = 2
+			return tr
+		}, "invalid clip index"},
+		{"clip index inside the clip list", func(tr *Trace) *Trace {
+			tr.Clips = []Clip{{Label: "A"}, {Label: "B"}}
+			tr.Frames[4].ClipIndex = 1
+			return tr
+		}, ""},
+		{"clip index without a clip list", func(tr *Trace) *Trace { tr.Frames[4].ClipIndex = 7; return tr }, ""},
 		{"zero arrival rate", func(tr *Trace) *Trace { tr.Changes[0].ArrivalRate = 0; return tr }, "invalid arrival rate"},
 		{"NaN arrival rate", func(tr *Trace) *Trace { tr.Changes[0].ArrivalRate = math.NaN(); return tr }, "invalid arrival rate"},
 		{"Inf decode rate", func(tr *Trace) *Trace { tr.Changes[0].DecodeRateMax = math.Inf(1); return tr }, "invalid decode rate"},
