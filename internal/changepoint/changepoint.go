@@ -21,15 +21,20 @@
 //
 //	ln P = N·Lc − δc·P_N + h_c(p),   h_c(p) = δc·pre_p − p·Lc
 //
-// so the detector keeps one monotone-deque sliding-window maximum of h_c per
-// candidate: amortised O(|Λ|) work per sample and O(|Λ|) per check to bound
-// every candidate's statistic. Only when some bound comes within a rounding
-// slack of its threshold — about 2 % of checks on the default fleet mix —
-// does the check run the exact O(n·|Λ|) scan, which reads each suffix sum in
-// O(1) from the window's compensated prefix ring (stats.Window.SuffixSum)
-// and alone produces every reported Detection. The screen changes the cost
-// of a check, never its result. Characterisation scores its null windows
-// with the reference backward pass (logLikelihoodMax).
+// so the detector keeps a sliding-window maximum of h_c for every candidate,
+// block-decomposed (van Herk/Gil-Werman) over blocks of m samples: each
+// sample writes one row of |Λ| values and folds it into the block's running
+// maxima, each full block is turned into suffix maxima in one backward pass,
+// and a check reads each candidate's window maximum as the larger of its
+// running maximum and one suffix maximum. That is O(|Λ|) work per sample
+// and per check, with no data-dependent loop, and the maxima are exact.
+// Only when some bound comes within a rounding slack of its threshold —
+// about 2 % of checks on the default fleet mix — does the check run the
+// exact O(n·|Λ|) scan, which reads each suffix sum in O(1) from the window's
+// compensated prefix ring (stats.Window.SuffixSum) and alone produces every
+// reported Detection. The screen changes the cost of a check, never its
+// result. Characterisation scores its null windows with the reference
+// backward pass (logLikelihoodMax).
 //
 // Off-line characterisation. For each (λo, λn) pair from the predefined rate
 // set Λ, windows are simulated under the null hypothesis (all m samples at
@@ -532,40 +537,6 @@ type candidate struct {
 	rate, logRatio, delta, threshold float64
 }
 
-// hpoint is one entry of a screen: a sample index p and
-// h_c(p) = δc·pre_p − p·Lc.
-type hpoint struct {
-	p int
-	h float64
-}
-
-// screen is one candidate's sliding-window maximum of h_c: a monotone deque,
-// h strictly decreasing from front to back, so buf[front] holds the maximum
-// over the samples in the window. The deque appends into a buffer twice the
-// window size and slides its live entries back to the start when the buffer
-// end is reached, so no index ever wraps.
-type screen struct {
-	buf         []hpoint
-	front, back int
-}
-
-// push appends (p, h) after dropping the front if it precedes oldest and
-// every back entry it dominates.
-func (q *screen) push(p int, h float64, oldest int) {
-	if q.front < q.back && q.buf[q.front].p < oldest {
-		q.front++
-	}
-	for q.back > q.front && q.buf[q.back-1].h <= h {
-		q.back--
-	}
-	if q.back == len(q.buf) {
-		q.back = copy(q.buf, q.buf[q.front:q.back])
-		q.front = 0
-	}
-	q.buf[q.back] = hpoint{p, h}
-	q.back++
-}
-
 // Detector performs on-line change detection over a stream of interarrival
 // or decoding times.
 type Detector struct {
@@ -581,10 +552,17 @@ type Detector struct {
 	// len(Rates)-1 entries in grid order, serves λo = Rates[i]. cands is the
 	// row of the current rate.
 	table, cands []candidate
-	// screens[j] tracks max h_c for cands[j]; next is the index p the next
-	// sample gets, counted from the oldest sample held at the last rebuild.
-	screens []screen
-	next    int
+	// The screen: one block-decomposed sliding-window maximum of h_c over
+	// all candidates, stored as rows of len(cands) values. next is the index
+	// p the next sample gets, counted from the oldest sample held at the
+	// last rebuild; blocks of m = WindowSize samples start at p = 0, the
+	// current one at blockStart. hcur row i holds the h values of sample
+	// blockStart+i and hmax their running maxima; hsuf row i holds the
+	// maxima of the previous block's rows i..m−1. A window that starts in the
+	// previous block is a suffix of it plus this block so far, so its
+	// maximum is one read of each.
+	hcur, hsuf, hmax []float64
+	next, blockStart int
 	// sufs is the exact scan's suffix-sum scratch: sufs[k] = Σ_{j=k+1..m} x_j,
 	// filled once per scan from the window's O(1) prefix ring and shared by
 	// every candidate rate. Reused across scans, so Observe never allocates
@@ -630,22 +608,20 @@ func NewDetector(cfg Config, th *Thresholds, initialRate float64) (*Detector, er
 			table = append(table, candidate{rate: ln, logRatio: math.Log(ln / lo), delta: ln - lo, threshold: t})
 		}
 	}
-	span := 2 * cfg.WindowSize
-	slab := make([]hpoint, k*span)
-	screens := make([]screen, k)
-	for j := range screens {
-		screens[j].buf = slab[j*span : (j+1)*span]
-	}
+	block := cfg.WindowSize * k
+	slab := make([]float64, 2*block+k)
 	d := &Detector{
 		cfg:         cfg,
 		window:      stats.NewWindow(cfg.WindowSize),
 		current:     SnapRate(cfg.Rates, initialRate),
 		sinceDetect: -1,
 		table:       table,
-		screens:     screens,
+		hcur:        slab[:block:block],
+		hsuf:        slab[block : 2*block : 2*block],
+		hmax:        slab[2*block:],
 		sufs:        make([]float64, cfg.WindowSize),
 	}
-	d.rebuildScreens()
+	d.rebuildScreen()
 	return d, nil
 }
 
@@ -691,50 +667,78 @@ func (d *Detector) Observed() int { return d.observed }
 func (d *Detector) SetRate(rate float64) {
 	d.current = SnapRate(d.cfg.Rates, rate)
 	d.window.Reset()
-	d.rebuildScreens()
+	d.rebuildScreen()
 	d.sinceCheck = 0
 	d.sinceDetect = -1
 }
 
-// rebuildScreens selects the candidate row of the current rate and refills
-// every screen from the window's stored prefixes. It runs whenever λo
-// changes or the window is reset or trimmed.
-func (d *Detector) rebuildScreens() {
+// rebuildScreen selects the candidate row of the current rate and refills
+// the screen from the window's stored prefixes, starting a block at p = 0.
+// It runs whenever λo changes or the window is reset or trimmed.
+func (d *Detector) rebuildScreen() {
 	k := len(d.cfg.Rates) - 1
 	for i, r := range d.cfg.Rates {
 		if r == d.current {
 			d.cands = d.table[i*k : (i+1)*k]
 		}
 	}
-	for j := range d.screens {
-		d.screens[j].front, d.screens[j].back = 0, 0
-	}
-	d.next = 0
+	d.next, d.blockStart = 0, 0
 	for i := 0; i < d.window.Len(); i++ {
-		d.pushScreens(d.window.PrefixAt(i))
+		d.pushScreen(d.window.PrefixAt(i))
 	}
 }
 
-// pushScreens enters the next sample, whose stream prefix before it is pre,
-// into every candidate's screen.
-func (d *Detector) pushScreens(pre float64) {
+// pushScreen enters the next sample, whose stream prefix before it is pre,
+// into the screen: one row of h values, folded into the block's running
+// maxima. A full block is first closed by closeBlock.
+func (d *Detector) pushScreen(pre float64) {
 	p := d.next
 	d.next++
-	oldest := d.next - d.window.Cap()
-	for j := range d.cands {
-		c := &d.cands[j]
-		d.screens[j].push(p, c.delta*pre-float64(p)*c.logRatio, oldest)
+	if p-d.blockStart == d.cfg.WindowSize {
+		d.closeBlock()
 	}
+	k := len(d.cands)
+	i := (p - d.blockStart) * k
+	row, run := d.hcur[i:i+k], d.hmax[:k]
+	if i == 0 {
+		for j := range run {
+			run[j] = math.Inf(-1)
+		}
+	}
+	for j := range row {
+		c := &d.cands[j]
+		h := c.delta*pre - float64(p)*c.logRatio
+		row[j] = h
+		run[j] = max(run[j], h)
+	}
+}
+
+// closeBlock turns the full block's rows into suffix maxima in one backward
+// pass, makes them the previous block and starts an empty one.
+func (d *Detector) closeBlock() {
+	k := len(d.cands)
+	h := d.hcur[:d.cfg.WindowSize*k]
+	for i := len(h) - k - 1; i >= 0; i-- {
+		h[i] = max(h[i], h[i+k])
+	}
+	d.hcur, d.hsuf = d.hsuf, d.hcur
+	d.blockStart += d.cfg.WindowSize
 }
 
 // bound returns candidate j's screened statistic and the rounding slack
 // around it. With N samples indexed since the last rebuild and stream total
 // P_N, the exact statistic is N·Lc − δc·P_N + max h_c up to rounding; the
 // slack exceeds the rounding difference between that grouping and the exact
-// scan's by many orders of magnitude.
+// scan's by many orders of magnitude. The window holds the samples from
+// o = N − m on; when o falls in the previous block, its part of the window
+// is the suffix maximum at o.
 func (d *Detector) bound(j int) (s, slack float64) {
-	c, q := &d.cands[j], &d.screens[j]
-	a, b, h := float64(d.next)*c.logRatio, c.delta*d.window.Prefix(), q.buf[q.front].h
+	c, h := &d.cands[j], d.hmax[j]
+	m := d.cfg.WindowSize
+	if o := d.next - m; o >= 0 && o < d.blockStart {
+		h = max(h, d.hsuf[(o-d.blockStart+m)*len(d.cands)+j])
+	}
+	a, b := float64(d.next)*c.logRatio, c.delta*d.window.Prefix()
 	return a - b + h, 1e-9 * (math.Abs(a) + math.Abs(b) + math.Abs(h) + math.Abs(c.threshold) + 1)
 }
 
@@ -764,7 +768,7 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 	return d.adopt(best), true
 }
 
-// advance enters one sample into the window and the screens and runs a due
+// advance enters one sample into the window and the screen and runs a due
 // refinement pass, returning its Detection when it adopts a new rate.
 func (d *Detector) advance(x float64) (Detection, bool) {
 	if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
@@ -772,7 +776,7 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 	}
 	pre := d.window.Prefix()
 	d.window.Push(x)
-	d.pushScreens(pre)
+	d.pushScreen(pre)
 	d.observed++
 	d.sinceCheck++
 	// Refinement after a recent detection (see Config.RefineAfter): every
@@ -820,7 +824,7 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 						d.window.Push(v)
 					}
 				}
-				d.rebuildScreens()
+				d.rebuildScreen()
 				d.sinceCheck = 0
 				d.observeDetection(det)
 				return det, true
@@ -903,7 +907,7 @@ func (d *Detector) adopt(best Detection) Detection {
 	for _, v := range post {
 		d.window.Push(v)
 	}
-	d.rebuildScreens()
+	d.rebuildScreen()
 	if d.cfg.RefineAfter > 0 {
 		d.sinceDetect = 0
 	}

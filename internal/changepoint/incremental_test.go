@@ -79,8 +79,8 @@ func TestIncrementalMatchesNaiveDetections(t *testing.T) {
 
 // TestObserveSteadyStateDoesNotAllocate pins the detector's allocation
 // contract: fed a stationary stream (no detections, but checks firing every
-// CheckInterval samples), Observe performs zero allocations. The screens and
-// the suffix scratch are allocated once, in NewDetector; the reference
+// CheckInterval samples), Observe performs zero allocations. The screen's slab
+// and the suffix scratch are allocated once, in NewDetector; the reference
 // detector allocates a fresh window copy at every check — the cost the
 // incremental path removes.
 func TestObserveSteadyStateDoesNotAllocate(t *testing.T) {

@@ -1,6 +1,7 @@
 package changepoint
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -83,15 +84,23 @@ func runLockstep(t *testing.T, cfg Config, th *Thresholds, initial float64, stre
 	return dets, tally
 }
 
-// gridThresholds characterises a grid cheaply: the soundness property holds
-// for any threshold table, so the null sample need not be large.
+// gridThresholds characterises a grid cheaply at the paper's window size and
+// check interval: the soundness property holds for any threshold table, so
+// the null sample need not be large.
 func gridThresholds(t testing.TB, lo, hi float64, n int) (Config, *Thresholds) {
+	t.Helper()
+	return gridThresholdsAt(t, lo, hi, n, 100, 5)
+}
+
+// gridThresholdsAt is gridThresholds at window size m and check interval k.
+func gridThresholdsAt(t testing.TB, lo, hi float64, n, m, k int) (Config, *Thresholds) {
 	t.Helper()
 	rates, err := GeometricRates(lo, hi, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(rates)
+	cfg.WindowSize, cfg.CheckInterval = m, k
 	cfg.CharacterisationWindows = 400
 	th, err := Characterise(cfg)
 	if err != nil {
@@ -100,44 +109,89 @@ func gridThresholds(t testing.TB, lo, hi float64, n int) (Config, *Thresholds) {
 	return cfg, th
 }
 
+// screenGeometries are the (m, k) pairs the rate-switch streams run on: the
+// paper's operating point; m = 37, not a multiple of k, so the screen's
+// block ends fall at every check phase; and m = 200 with k = 20, the extremes
+// of the ablations in bench_test.go.
+var screenGeometries = []struct{ m, k int }{{100, 5}, {37, 1}, {37, 7}, {200, 20}}
+
+// screenCounts pins the screen's verdicts on the rate-switch streams of each
+// grid and geometry: how many checks it cleared, and of how many. The screen
+// changes only the cost of a check, so these are deterministic. A rise in
+// exact scans (checks − cleared) fails; a fall must update the table.
+var screenCounts = map[string]screenTally{
+	"mp3-arrival m=100 k=5":   {checks: 17224, cleared: 16057},
+	"mp3-service m=100 k=5":   {checks: 17414, cleared: 16993},
+	"mpeg-arrival m=100 k=5":  {checks: 17311, cleared: 16619},
+	"mpeg-service m=100 k=5":  {checks: 17513, cleared: 17122},
+	"mp3-arrival m=37 k=1":    {checks: 82954, cleared: 80743},
+	"mp3-service m=37 k=1":    {checks: 88099, cleared: 87025},
+	"mpeg-arrival m=37 k=1":   {checks: 85740, cleared: 84062},
+	"mpeg-service m=37 k=1":   {checks: 88354, cleared: 87363},
+	"mp3-arrival m=37 k=7":    {checks: 12293, cleared: 10837},
+	"mp3-service m=37 k=7":    {checks: 12465, cleared: 11656},
+	"mpeg-arrival m=37 k=7":   {checks: 12305, cleared: 11104},
+	"mpeg-service m=37 k=7":   {checks: 12495, cleared: 11763},
+	"mp3-arrival m=200 k=20":  {checks: 4029, cleared: 3769},
+	"mp3-service m=200 k=20":  {checks: 4085, cleared: 3877},
+	"mpeg-arrival m=200 k=20": {checks: 3913, cleared: 3668},
+	"mpeg-service m=200 k=20": {checks: 4039, cleared: 3837},
+}
+
 // TestScreenMatchesExactScanOnRateSwitches drives seeded streams that switch
-// among grid and off-grid rates on every application grid. Short segments
-// make the next change land while the window is still refilling after a
-// detection or a refinement.
+// among grid and off-grid rates on every application grid and screen
+// geometry. Short segments make the next change land while the window is
+// still refilling after a detection or a refinement; segments up to 3m long
+// give every geometry a stretch of more than 2m samples with no detection,
+// so checks read windows that span a block boundary.
 func TestScreenMatchesExactScanOnRateSwitches(t *testing.T) {
-	for gi, g := range appGrids {
-		cfg, th := gridThresholds(t, g.lo, g.hi, g.nRates)
-		var detections, refined int
-		var tally screenTally
-		for seed := uint64(0); seed < 6; seed++ {
-			rng := stats.NewRNG(1000*uint64(gi) + seed)
-			var stream []float64
-			for len(stream) < 15000 {
-				rate := cfg.Rates[rng.Intn(len(cfg.Rates))]
-				if rng.Intn(3) == 0 { // off grid, log-uniform over the grid's span
-					rate = g.lo * math.Pow(g.hi/g.lo, rng.Float64())
+	for _, geo := range screenGeometries {
+		for gi, g := range appGrids {
+			name := fmt.Sprintf("%s m=%d k=%d", g.name, geo.m, geo.k)
+			cfg, th := gridThresholdsAt(t, g.lo, g.hi, g.nRates, geo.m, geo.k)
+			var detections, refined, quiet int
+			var tally screenTally
+			for seed := uint64(0); seed < 6; seed++ {
+				rng := stats.NewRNG(1000*uint64(gi) + seed)
+				var stream []float64
+				for len(stream) < 15000 {
+					rate := cfg.Rates[rng.Intn(len(cfg.Rates))]
+					if rng.Intn(3) == 0 { // off grid, log-uniform over the grid's span
+						rate = g.lo * math.Pow(g.hi/g.lo, rng.Float64())
+					}
+					seg := 5 + rng.Intn(3*geo.m)
+					for i := 0; i < seg; i++ {
+						stream = append(stream, rng.Exp(rate))
+					}
 				}
-				seg := 5 + rng.Intn(300)
-				for i := 0; i < seg; i++ {
-					stream = append(stream, rng.Exp(rate))
+				dets, tl := runLockstep(t, cfg, th, cfg.Rates[rng.Intn(len(cfg.Rates))], stream)
+				detections += len(dets)
+				last := 0
+				for _, det := range dets {
+					if det.Refined {
+						refined++
+					}
+					quiet = max(quiet, det.SampleIndex-last)
+					last = det.SampleIndex
 				}
+				quiet = max(quiet, len(stream)-last)
+				tally.checks += tl.checks
+				tally.cleared += tl.cleared
 			}
-			dets, tl := runLockstep(t, cfg, th, cfg.Rates[rng.Intn(len(cfg.Rates))], stream)
-			detections += len(dets)
-			for _, det := range dets {
-				if det.Refined {
-					refined++
-				}
+			if refined == 0 || refined == detections || tally.cleared == 0 || tally.cleared == tally.checks {
+				t.Errorf("%s: vacuous run: %d detections (%d refined), %d of %d checks cleared",
+					name, detections, refined, tally.cleared, tally.checks)
 			}
-			tally.checks += tl.checks
-			tally.cleared += tl.cleared
+			if quiet <= 2*geo.m {
+				t.Errorf("%s: longest stretch without a detection is %d samples, want more than 2m = %d", name, quiet, 2*geo.m)
+			}
+			if want, ok := screenCounts[name]; !ok || tally != want {
+				t.Errorf("%s: screen cleared %d of %d checks, want %d of %d",
+					name, tally.cleared, tally.checks, want.cleared, want.checks)
+			}
+			t.Logf("%s: %d detections (%d refined), longest quiet stretch %d, %d of %d checks cleared by the screen",
+				name, detections, refined, quiet, tally.cleared, tally.checks)
 		}
-		if refined == 0 || refined == detections || tally.cleared == 0 || tally.cleared == tally.checks {
-			t.Errorf("%s: vacuous run: %d detections (%d refined), %d of %d checks cleared",
-				g.name, detections, refined, tally.cleared, tally.checks)
-		}
-		t.Logf("%s: %d detections (%d refined), %d of %d checks cleared by the screen",
-			g.name, detections, refined, tally.cleared, tally.checks)
 	}
 }
 
@@ -171,10 +225,9 @@ func TestScreenMatchesExactScanOnLongStationaryRun(t *testing.T) {
 	if len(dets) == 0 || dets[0].SampleIndex <= stationary {
 		t.Fatalf("detections %+v: want none before sample %d and one after the change", dets, stationary)
 	}
-	if tally.cleared == tally.checks {
-		t.Errorf("all %d checks cleared: none came near a threshold", tally.checks)
+	if want := (screenTally{checks: 40098, cleared: 40097}); tally != want {
+		t.Errorf("screen cleared %d of %d checks, want %d of %d", tally.cleared, tally.checks, want.cleared, want.checks)
 	}
-	t.Logf("%d of %d checks cleared by the screen", tally.cleared, tally.checks)
 }
 
 // TestScreenMatchesExactScanOnDegenerateStreams covers streams whose
@@ -229,8 +282,9 @@ func TestNewDetectorRejectsForeignGrid(t *testing.T) {
 }
 
 // BenchmarkDetectorObserve measures Observe per sample on the MP3 arrival
-// grid over a stream that switches rate every 400 samples, so screened
-// checks, exact scans, detections and refinements all contribute.
+// grid over a stream that switches rate every 400 samples, so the screen's
+// per-sample row update and block closes, screened checks, exact scans,
+// detections with their screen rebuilds, and refinements all contribute.
 func BenchmarkDetectorObserve(b *testing.B) {
 	cfg, th := gridThresholds(b, 6, 44, 8)
 	rates := cfg.Rates

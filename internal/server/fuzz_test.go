@@ -35,3 +35,39 @@ func FuzzDecodeFleetRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeThresholdsRequest drives arbitrary bytes through the
+// /v1/thresholds body pipeline — strict decode, then parseThresholdsConfig —
+// and requires every accepted config to validate and to stay within the
+// characterisation work cap, so no accepted body can exhaust the daemon's
+// memory or run for days.
+func FuzzDecodeThresholdsRequest(f *testing.F) {
+	f.Add([]byte(`{"rates":[6,12,24],"characterisation_windows":400}`))
+	f.Add([]byte(`{"rates":[2,4],"window_size":20,"confidence":0.9,"characterisation_windows":120,"seed":11}`))
+	f.Add([]byte(`{"rates":[10,20],"window_size":1099511627776}`))
+	f.Add([]byte(`{"rates":[10,20],"characterisation_windows":4000000000000}`))
+	f.Add([]byte(`{"rates":[1,2,3],"window_size":9223372036854775807,"characterisation_windows":9223372036854775807}`))
+	f.Add([]byte(`{"rates":[5]}`))
+	f.Add([]byte(`{"rates":[1,1],"confidence":2}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req ThresholdsRequest
+		if err := decodeBytes(data, &req); err != nil {
+			return // malformed JSON is rejected, not crashed on
+		}
+		cfg, err := parseThresholdsConfig(req)
+		if err != nil {
+			return // invalid or oversized configs are rejected, not crashed on
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config fails Validate: %v", err)
+		}
+		// Products of integers stay exact in float64 up to 2^53, far above
+		// the cap, and rounding cannot carry a larger product below it.
+		n := float64(len(cfg.Rates))
+		if work := n * (n - 1) * float64(cfg.CharacterisationWindows) * float64(cfg.WindowSize); work > maxThresholdsWork {
+			t.Fatalf("accepted config has work %g > cap %d: %d rates, %d windows, m = %d",
+				work, maxThresholdsWork, len(cfg.Rates), cfg.CharacterisationWindows, cfg.WindowSize)
+		}
+	})
+}

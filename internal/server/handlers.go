@@ -278,6 +278,48 @@ func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
 	return cfg, nil
 }
 
+// maxThresholdsWork caps the worst-case characterisation work of one
+// /v1/thresholds request, counted in simulated samples: n(n−1) rate pairs ×
+// characterisation windows × window size. It is 12× an 8-rate grid at the
+// paper defaults (56 × 4000 × 100). Characterisation allocates a window of m
+// samples and does not watch the request's context, so an unbounded body
+// could exhaust memory or run for days.
+const maxThresholdsWork = 1 << 28
+
+// parseThresholdsConfig validates a ThresholdsRequest and lowers it to a
+// changepoint.Config: zero knobs keep the paper defaults, and the worst-case
+// work must stay within maxThresholdsWork.
+func parseThresholdsConfig(req ThresholdsRequest) (changepoint.Config, error) {
+	cfg := changepoint.DefaultConfig(req.Rates)
+	if req.WindowSize > 0 {
+		cfg.WindowSize = req.WindowSize
+	}
+	if req.Confidence > 0 {
+		cfg.Confidence = req.Confidence
+	}
+	if req.CharacterisationWindows > 0 {
+		cfg.CharacterisationWindows = req.CharacterisationWindows
+	}
+	if req.Seed != 0 {
+		cfg.Seed = req.Seed
+	}
+	if err := cfg.Validate(); err != nil {
+		return changepoint.Config{}, err
+	}
+	// Validate guarantees n >= 2, windows >= 100 and m >= 10, so every factor
+	// is positive and the running product never reaches zero.
+	n, work := len(cfg.Rates), 1
+	for _, f := range []int{n, n - 1, cfg.CharacterisationWindows, cfg.WindowSize} {
+		if f > maxThresholdsWork/work {
+			return changepoint.Config{}, fmt.Errorf(
+				"characterisation of %d rates × %d windows × window size %d exceeds the server limit of %d simulated samples",
+				n, cfg.CharacterisationWindows, cfg.WindowSize, maxThresholdsWork)
+		}
+		work *= f
+	}
+	return cfg, nil
+}
+
 func badgeJSON(b fleet.BadgeResult) BadgeJSON {
 	return BadgeJSON{
 		Index:         b.Index,
@@ -467,20 +509,8 @@ func (s *Server) handleThresholds(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	cfg := changepoint.DefaultConfig(req.Rates)
-	if req.WindowSize > 0 {
-		cfg.WindowSize = req.WindowSize
-	}
-	if req.Confidence > 0 {
-		cfg.Confidence = req.Confidence
-	}
-	if req.CharacterisationWindows > 0 {
-		cfg.CharacterisationWindows = req.CharacterisationWindows
-	}
-	if req.Seed != 0 {
-		cfg.Seed = req.Seed
-	}
-	if err := cfg.Validate(); err != nil {
+	cfg, err := parseThresholdsConfig(req)
+	if err != nil {
 		s.rThr.failures.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())
 		return

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,6 +348,57 @@ func TestThresholdsEndpoint(t *testing.T) {
 	}
 	if s.cache.Stats().MemHits == 0 {
 		t.Error("second request did not hit the cache")
+	}
+}
+
+// TestThresholdsWorkCap: a /v1/thresholds body whose worst-case
+// characterisation work, n(n−1) × windows × m simulated samples, exceeds
+// maxThresholdsWork is a 400 before any characterisation runs, including
+// bodies whose product overflows int64. Bodies at or below the cap, among
+// them CI's and the other server tests', still reach characterisation.
+func TestThresholdsWorkCap(t *testing.T) {
+	rates := func(n int) string {
+		r := make([]string, n)
+		for i := range r {
+			r[i] = fmt.Sprint(i + 1)
+		}
+		return "[" + strings.Join(r, ",") + "]"
+	}
+	grid8 := rates(8)
+	over := []string{
+		`{"rates":[10,20],"window_size":1099511627776}`,
+		`{"rates":[10,20],"characterisation_windows":4000000000000}`,
+		`{"rates":[10,20],"window_size":1099511627776,"characterisation_windows":1099511627776}`,
+		`{"rates":[1,2,3],"window_size":9223372036854775807}`,
+		`{"rates":` + rates(600) + `}`,
+		`{"rates":` + grid8 + `,"characterisation_windows":47935}`, // 56 × 47935 × 100 = 2^28 + 544
+	}
+	under := []string{
+		`{"rates":[6,12,24],"characterisation_windows":400}`,
+		`{"rates":[6,12,24],"characterisation_windows":120}`,
+		`{"rates":[2,4],"window_size":20,"confidence":0.9,"characterisation_windows":120,"seed":11}`,
+		`{"rates":` + grid8 + `}`,
+		`{"rates":` + grid8 + `,"characterisation_windows":47934}`, // 56 × 47934 × 100 = 2^28 − 5056
+	}
+	s := New(Config{})
+	var calls atomic.Int64
+	s.characterise = countingCharacterise(&calls)
+	for _, body := range over {
+		rec := postRecorder(s, "/v1/thresholds", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%.80s: status %d, want 400 (%s)", body, rec.Code, rec.Body.String())
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("over-limit bodies ran characterisation %d times", n)
+	}
+	for i, body := range under {
+		if rec := postRecorder(s, "/v1/thresholds", body); rec.Code != http.StatusOK {
+			t.Errorf("%s: status %d, want 200 (%s)", body, rec.Code, rec.Body.String())
+		}
+		if n := calls.Load(); n != int64(i+1) {
+			t.Errorf("%s: characterisation ran %d times in all, want %d", body, n, i+1)
+		}
 	}
 }
 

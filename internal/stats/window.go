@@ -5,20 +5,19 @@ import (
 	"math"
 )
 
-// Window is a fixed-capacity sliding window over float64 observations with an
-// O(1) running sum and O(1) suffix sums. The change-point detector
-// (Section 3.1) keeps the last m interarrival or decoding times in a Window;
-// the likelihood statistic only needs suffix sums Σ_{j=k+1..m} x_j, which
-// SuffixSum serves in O(1) from a prefix ring instead of re-scanning the
-// window — the incremental path that makes the on-line detector's per-sample
-// bookkeeping constant-time.
+// Window is a fixed-capacity sliding window over float64 observations with
+// O(1) suffix sums. The change-point detector (Section 3.1) keeps the last m
+// interarrival or decoding times in a Window; the likelihood statistic only
+// needs suffix sums Σ_{j=k+1..m} x_j, which SuffixSum serves in O(1) from a
+// prefix ring instead of re-scanning the window — the incremental path that
+// makes the on-line detector's per-sample bookkeeping constant-time.
 //
-// Both the running window sum and the stream prefix are maintained with
-// Neumaier-compensated summation, so neither drifts as samples are pushed and
-// evicted: on exact binary fractions the compensation term stays zero and the
-// sums match a from-scratch recomputation bit for bit (the property tests
-// rely on this), and on general data the error stays at rounding level
-// instead of accumulating with stream length.
+// The stream prefix is maintained with Neumaier-compensated summation, so it
+// does not drift as samples are pushed: on exact binary fractions the
+// compensation term stays zero and the suffix sums match a from-scratch
+// recomputation bit for bit (the property tests rely on this), and on
+// general data the error stays at rounding level instead of accumulating
+// with stream length.
 type Window struct {
 	buf []float64
 	// pre[slot] is the collapsed stream prefix total — every observation
@@ -30,9 +29,6 @@ type Window struct {
 	pre   []float64
 	head  int // index of the oldest element
 	count int
-	// sum/comp: compensated running window total (each push adds, each
-	// eviction subtracts).
-	sum, comp float64
 	// psum/pcomp: compensated stream prefix since the last Reset (grows
 	// monotonically for non-negative samples; never decremented).
 	psum, pcomp float64
@@ -62,24 +58,19 @@ func neumaierAdd(sum, comp, x float64) (float64, float64) {
 }
 
 // Push appends an observation, evicting the oldest if the window is full.
-// It returns the evicted value and whether an eviction occurred.
-func (w *Window) Push(x float64) (evicted float64, wasFull bool) {
+func (w *Window) Push(x float64) {
 	prefix := w.psum + w.pcomp
 	w.psum, w.pcomp = neumaierAdd(w.psum, w.pcomp, x)
-	w.sum, w.comp = neumaierAdd(w.sum, w.comp, x)
 	if w.count == len(w.buf) {
-		evicted = w.buf[w.head]
 		w.buf[w.head] = x
 		w.pre[w.head] = prefix
 		w.head = (w.head + 1) % len(w.buf)
-		w.sum, w.comp = neumaierAdd(w.sum, w.comp, -evicted)
-		return evicted, true
+		return
 	}
 	slot := (w.head + w.count) % len(w.buf)
 	w.buf[slot] = x
 	w.pre[slot] = prefix
 	w.count++
-	return 0, false
 }
 
 // Len returns the number of stored observations.
@@ -87,21 +78,6 @@ func (w *Window) Len() int { return w.count }
 
 // Cap returns the window capacity.
 func (w *Window) Cap() int { return len(w.buf) }
-
-// Full reports whether the window holds Cap() observations.
-func (w *Window) Full() bool { return w.count == len(w.buf) }
-
-// Sum returns the sum of all stored observations.
-func (w *Window) Sum() float64 { return w.sum + w.comp }
-
-// At returns the i-th observation, 0 being the oldest. It panics if out of
-// range.
-func (w *Window) At(i int) float64 {
-	if i < 0 || i >= w.count {
-		panic(fmt.Sprintf("stats: window index %d out of range [0,%d)", i, w.count))
-	}
-	return w.buf[(w.head+i)%len(w.buf)]
-}
 
 // SuffixSum returns the sum of the newest n observations in O(1), as the
 // difference between the compensated stream prefix and the prefix recorded
@@ -150,6 +126,5 @@ func (w *Window) Values() []float64 {
 // Reset empties the window and clears the stream prefix.
 func (w *Window) Reset() {
 	w.head, w.count = 0, 0
-	w.sum, w.comp = 0, 0
 	w.psum, w.pcomp = 0, 0
 }

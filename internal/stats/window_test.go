@@ -8,24 +8,24 @@ import (
 
 func TestWindowFillAndEvict(t *testing.T) {
 	w := NewWindow(3)
-	if w.Full() {
-		t.Fatal("new window should not be full")
+	if w.Len() != 0 || w.Cap() != 3 {
+		t.Fatalf("new window: len %d cap %d, want 0 and 3", w.Len(), w.Cap())
 	}
 	w.Push(1)
 	w.Push(2)
 	w.Push(3)
-	if !w.Full() || w.Len() != 3 {
+	if w.Len() != 3 {
 		t.Fatal("window should be full with 3 elements")
 	}
-	if w.Sum() != 6 {
-		t.Errorf("sum = %v, want 6", w.Sum())
+	if s := w.SuffixSum(w.Len()); s != 6 {
+		t.Errorf("sum = %v, want 6", s)
 	}
-	ev, was := w.Push(4)
-	if !was || ev != 1 {
-		t.Errorf("evicted = %v,%v, want 1,true", ev, was)
+	w.Push(4)
+	if w.Len() != 3 {
+		t.Errorf("len after eviction = %d, want 3", w.Len())
 	}
-	if w.Sum() != 9 {
-		t.Errorf("sum after eviction = %v, want 9", w.Sum())
+	if s := w.SuffixSum(w.Len()); s != 9 {
+		t.Errorf("sum after eviction = %v, want 9", s)
 	}
 	vals := w.Values()
 	want := []float64{2, 3, 4}
@@ -41,8 +41,8 @@ func TestWindowAtAndSuffixSum(t *testing.T) {
 	for _, x := range []float64{10, 20, 30, 40, 50} { // 10 evicted
 		w.Push(x)
 	}
-	if w.At(0) != 20 || w.At(3) != 50 {
-		t.Errorf("At wrong: %v %v", w.At(0), w.At(3))
+	if v := w.Values(); v[0] != 20 || v[3] != 50 {
+		t.Errorf("oldest and newest = %v %v, want 20 50", v[0], v[3])
 	}
 	if s := w.SuffixSum(2); s != 90 {
 		t.Errorf("suffix(2) = %v, want 90", s)
@@ -60,11 +60,11 @@ func TestWindowReset(t *testing.T) {
 	w.Push(1)
 	w.Push(2)
 	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 || w.Full() {
+	if w.Len() != 0 || w.Prefix() != 0 {
 		t.Error("reset did not clear window")
 	}
 	w.Push(5)
-	if w.At(0) != 5 {
+	if v := w.Values(); len(v) != 1 || v[0] != 5 || w.SuffixSum(1) != 5 {
 		t.Error("push after reset broken")
 	}
 }
@@ -72,7 +72,7 @@ func TestWindowReset(t *testing.T) {
 func TestWindowPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { NewWindow(0) },
-		func() { NewWindow(2).At(0) },
+		func() { NewWindow(2).PrefixAt(0) },
 		func() { NewWindow(2).SuffixSum(1) },
 		func() { NewWindow(2).SuffixSum(-1) },
 	} {
@@ -87,8 +87,8 @@ func TestWindowPanics(t *testing.T) {
 	}
 }
 
-// Property: running Sum always equals the sum of Values, and SuffixSum(n)
-// equals the naive sum of the newest n, for any push sequence.
+// Property: SuffixSum(Len()) always equals the sum of Values, and
+// SuffixSum(n) equals the naive sum of the newest n, for any push sequence.
 func TestWindowSumInvariantProperty(t *testing.T) {
 	prop := func(xs []float64, capSeed uint8) bool {
 		capacity := int(capSeed%16) + 1
@@ -104,7 +104,7 @@ func TestWindowSumInvariantProperty(t *testing.T) {
 			for _, v := range vals {
 				sum += v
 			}
-			if math.Abs(sum-w.Sum()) > 1e-6*(1+math.Abs(sum)) {
+			if math.Abs(sum-w.SuffixSum(w.Len())) > 1e-6*(1+math.Abs(sum)) {
 				return false
 			}
 			n := len(vals) / 2
