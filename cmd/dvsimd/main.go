@@ -67,11 +67,11 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 		return err
 	}
 	// One cache for everything: badge runs characterise through the
-	// process-wide cache, /v1/thresholds and /metrics use the same one.
+	// process-wide cache, and server.New serves /v1/thresholds and /metrics
+	// from it.
 	experiments.SetThresholdCache(cache)
 
 	srv := server.New(server.Config{
-		Cache:        cache,
 		MaxInFlight:  *inflight,
 		QueueDepth:   *queue,
 		MaxBadges:    *maxBadges,

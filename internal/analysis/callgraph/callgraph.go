@@ -1,7 +1,7 @@
 // Package callgraph builds a conservative static call graph over the
 // type-checked ASTs the analysis framework already loads, and answers the
-// reachability questions the concurrency analyzers share: "can this function
-// block?" and "does this package spawn goroutines?".
+// reachability question the concurrency analyzers share: "can this function
+// block?".
 //
 // The graph is deliberately conservative in both directions and the
 // analyzers built on it are written to stay quiet rather than clever:
@@ -11,10 +11,9 @@
 //     through function-typed values, interface methods and reflection
 //     produce no edge, so reachability is an under-approximation there.
 //   - Function literals are nodes of their own, with an edge from the
-//     enclosing function (kind Go for `go func(){...}()`, Defer for
-//     `defer func(){...}()`, Call otherwise) — an over-approximation that
-//     treats every literal as invoked, which is what a "may block / may
-//     spawn" analysis wants.
+//     enclosing function — an over-approximation that treats every literal
+//     as invoked (whether called, deferred or started with go), which is
+//     what a "may block" analysis wants.
 //   - Functions whose bodies are not in the loaded source set (dependencies
 //     type-checked from export data) become body-less nodes: their
 //     signatures are known, their behaviour is not, except for a small
@@ -47,34 +46,10 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// EdgeKind classifies how a call site transfers control.
-type EdgeKind uint8
-
-const (
-	// Call is an ordinary (possibly deferred-free) function or method call.
-	Call EdgeKind = iota
-	// Go is a `go` statement: the callee runs on a new goroutine.
-	Go
-	// Defer is a `defer` statement: the callee runs at function exit.
-	Defer
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case Go:
-		return "go"
-	case Defer:
-		return "defer"
-	default:
-		return "call"
-	}
-}
-
 // An Edge is one resolved call site.
 type Edge struct {
 	Callee *Node
 	Pos    token.Pos
-	Kind   EdgeKind
 }
 
 // A Node is one function: a declared function or method, a function
@@ -101,8 +76,6 @@ type Node struct {
 	// ChanOps reports a channel operation directly in the body: send,
 	// receive, close, select, or range over a channel.
 	ChanOps bool
-	// SpawnsGo reports a `go` statement directly in the body.
-	SpawnsGo bool
 	// BlockingStd reports a direct call to a known-blocking stdlib entry
 	// point (net, net/http, time.Sleep, sync.WaitGroup.Wait).
 	BlockingStd bool
@@ -122,15 +95,13 @@ const (
 // A Graph is the assembled call graph.
 type Graph struct {
 	nodes map[string]*Node
-	// spawning caches PkgSpawnsGo per package path.
-	spawning map[string]bool
 }
 
 // Build assembles the graph for the given units. Units type-checked against
 // each other (shared or source-local importers) unify by object; everything
 // else unifies by full-name key.
 func Build(units []*Unit) *Graph {
-	g := &Graph{nodes: make(map[string]*Node), spawning: make(map[string]bool)}
+	g := &Graph{nodes: make(map[string]*Node)}
 	// Phase 1: a node per declared function, so cross-package edges bind to
 	// the body-bearing node regardless of unit processing order.
 	for _, u := range units {
@@ -163,11 +134,6 @@ func Build(units []*Unit) *Graph {
 				}
 				g.walkBody(g.nodes[fullName(fn)], fd.Body)
 			}
-		}
-	}
-	for _, n := range g.nodes {
-		if n.SpawnsGo && n.PkgPath != "" {
-			g.spawning[n.PkgPath] = true
 		}
 	}
 	return g
@@ -213,11 +179,9 @@ func (g *Graph) walkBody(owner *Node, body *ast.BlockStmt) {
 				}
 			}
 			g.nodes[child.Key] = child
-			owner.Edges = append(owner.Edges, Edge{Callee: child, Pos: n.Pos(), Kind: litKind(owner, n)})
+			owner.Edges = append(owner.Edges, Edge{Callee: child, Pos: n.Pos()})
 			g.walkBody(child, n.Body)
 			return false // children handled by the recursive walkBody
-		case *ast.GoStmt:
-			owner.SpawnsGo = true
 		case *ast.SendStmt, *ast.SelectStmt:
 			owner.ChanOps = true
 		case *ast.UnaryExpr:
@@ -238,7 +202,7 @@ func (g *Graph) walkBody(owner *Node, body *ast.BlockStmt) {
 			}
 			if fn := Callee(u.Info, n); fn != nil {
 				callee := g.ensure(fn)
-				owner.Edges = append(owner.Edges, Edge{Callee: callee, Pos: n.Pos(), Kind: callKind(owner, n)})
+				owner.Edges = append(owner.Edges, Edge{Callee: callee, Pos: n.Pos()})
 				if isBlockingStd(fn) {
 					owner.BlockingStd = true
 				}
@@ -247,39 +211,6 @@ func (g *Graph) walkBody(owner *Node, body *ast.BlockStmt) {
 		return true
 	}
 	ast.Inspect(body, walk)
-}
-
-// litKind classifies a function literal's edge: Go/Defer when the literal is
-// the immediate callee of a go/defer statement, Call otherwise.
-func litKind(owner *Node, lit *ast.FuncLit) EdgeKind {
-	return stmtKindAt(owner, lit.Pos())
-}
-
-// callKind classifies a call edge the same way.
-func callKind(owner *Node, call *ast.CallExpr) EdgeKind {
-	return stmtKindAt(owner, call.Fun.Pos())
-}
-
-// stmtKindAt reports whether the go/defer statement syntax at pos wraps the
-// callee directly (go f(...), defer f(...)).
-func stmtKindAt(owner *Node, pos token.Pos) EdgeKind {
-	kind := Call
-	ast.Inspect(owner.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			if n.Call.Fun.Pos() == pos {
-				kind = Go
-				return false
-			}
-		case *ast.DeferStmt:
-			if n.Call.Fun.Pos() == pos {
-				kind = Defer
-				return false
-			}
-		}
-		return true
-	})
-	return kind
 }
 
 // Callee statically resolves a call expression to the *types.Func it
@@ -339,10 +270,6 @@ func (g *Graph) FuncsIn(pkgPath string) []*Node {
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
-
-// PkgSpawnsGo reports whether any function (or literal) declared in the
-// package contains a `go` statement.
-func (g *Graph) PkgSpawnsGo(pkgPath string) bool { return g.spawning[pkgPath] }
 
 // MayBlock reports whether n can block waiting on another goroutine or on
 // I/O: a channel operation, select, a known-blocking stdlib call, or —

@@ -1,19 +1,11 @@
-// Package lockcheck enforces the serving stack's lock discipline:
-//
-//  1. No blocking operation while a sync.Mutex/RWMutex is held. Critical
-//     sections in this codebase are pointer swaps and counter bumps; a
-//     channel op, select, WaitGroup.Wait, network call, time.Sleep, or a
-//     call that the call graph shows can transitively block (e.g.
-//     fleet.RunCtx, whose shard pool parks on channels) turns one slow
-//     request into a convoy for every handler sharing the lock — the
-//     admission-control design (bounded queue outside any lock) exists
-//     precisely to avoid that.
-//  2. In a package the call graph shows spawning goroutines, raw
-//     obs.Registry instruments are forbidden: the core registry is
-//     deliberately single-writer (simulator hot path), and a package that
-//     forks concurrency must route observability through obs.SyncRegistry,
-//     whose handles serialise updates. internal/obs itself is exempt (the
-//     sync layer wraps the raw one by construction).
+// Package lockcheck enforces the serving stack's lock discipline: no
+// blocking operation while a sync.Mutex/RWMutex is held. Critical sections
+// in this codebase are pointer swaps and counter bumps; a channel op,
+// select, WaitGroup.Wait, network call, time.Sleep, or a call that the call
+// graph shows can transitively block (e.g. fleet.RunCtx, whose shard pool
+// parks on channels) turns one slow request into a convoy for every handler
+// sharing the lock — the admission-control design (bounded queue outside
+// any lock) exists precisely to avoid that.
 //
 // The lock tracking is a linear, per-block scan: Lock()/Unlock() toggle a
 // held set keyed by the receiver expression, defer Unlock() holds to
@@ -25,7 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"smartbadge/internal/analysis"
 	"smartbadge/internal/analysis/callgraph"
@@ -34,15 +25,8 @@ import (
 // Analyzer is the lockcheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
-	Doc:  "forbid blocking calls while a mutex is held and raw obs.Registry use in goroutine-spawning packages",
+	Doc:  "forbid blocking calls while a mutex is held",
 	Run:  run,
-}
-
-// rawObsTypes are the single-writer observability types that concurrent
-// packages must not touch directly.
-var rawObsTypes = map[string]bool{
-	"Registry": true, "Counter": true, "Gauge": true,
-	"Histogram": true, "Timer": true, "PhaseTimer": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -53,12 +37,6 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			scanBlock(pass, fd.Body.List, lockState{})
-		}
-	}
-	if pass.Graph.PkgSpawnsGo(pass.Pkg.Path()) &&
-		!strings.HasSuffix(pass.Pkg.Path(), "internal/obs") {
-		for _, f := range pass.Files {
-			checkRawObs(pass, f)
 		}
 	}
 	return nil
@@ -290,48 +268,4 @@ func mutexOpFn(fn *types.Func) (typ, op string, ok bool) {
 		op = "RLock"
 	}
 	return name, op, true
-}
-
-// checkRawObs flags raw single-writer observability instruments in a
-// goroutine-spawning package.
-func checkRawObs(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		if !strings.HasSuffix(fn.Pkg().Path(), "internal/obs") {
-			return true
-		}
-		// Constructor for the raw registry.
-		if fn.Name() == "NewRegistry" {
-			pass.Reportf(call.Pos(),
-				"this package spawns goroutines; obs.NewRegistry is single-writer — use obs.NewSyncRegistry")
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return true
-		}
-		recv := sig.Recv().Type()
-		if p, ok := recv.(*types.Pointer); ok {
-			recv = p.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok || !rawObsTypes[named.Obj().Name()] {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"this package spawns goroutines; raw obs.%s is single-writer — route through obs.SyncRegistry handles",
-			named.Obj().Name())
-		return true
-	})
 }

@@ -10,11 +10,3 @@ import (
 func TestCriticalSections(t *testing.T) {
 	analysistest.Run(t, "testdata/locked", lockcheck.Analyzer)
 }
-
-func TestRawObsInSpawningPackage(t *testing.T) {
-	analysistest.Run(t, "testdata/obsspawn", lockcheck.Analyzer)
-}
-
-func TestRawObsAllowedWithoutGoroutines(t *testing.T) {
-	analysistest.Run(t, "testdata/obscalm", lockcheck.Analyzer)
-}

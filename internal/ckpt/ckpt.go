@@ -109,8 +109,8 @@ type manifest struct {
 	Records    int    `json:"records"`
 }
 
-// record is one journal line. SHA is the hex SHA-256 of the raw Data
-// bytes, so a record vouches for itself independently of its neighbours.
+// record is one journal line. SHA is the hex SHA-256 of the Data bytes as
+// written, so a record vouches for itself independently of its neighbours.
 type record struct {
 	Index int             `json:"i"`
 	SHA   string          `json:"sha"`
@@ -258,7 +258,7 @@ func (s *Store) loadJournal(records int) error {
 		if len(line) == 0 {
 			continue
 		}
-		if json.Unmarshal(line, &r) != nil || r.Index < 0 || r.Index >= records || r.SHA != shaHex(r.Data) {
+		if json.Unmarshal(line, &r) != nil || r.Index < 0 || r.Index >= records || !isRecordLine(line, r) {
 			s.stats.Dropped++
 			continue
 		}
@@ -284,7 +284,7 @@ func (s *Store) rewriteJournal(path string) error {
 	sort.Ints(idx)
 	var buf bytes.Buffer
 	for _, i := range idx {
-		line, err := recordLine(i, s.done[i])
+		line, _, err := recordLine(i, s.done[i])
 		if err != nil {
 			return err
 		}
@@ -298,13 +298,26 @@ func shaHex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// recordLine renders one journal line (including the trailing newline).
-func recordLine(i int, data json.RawMessage) ([]byte, error) {
-	line, err := json.Marshal(record{Index: i, SHA: shaHex(data), Data: data})
-	if err != nil {
-		return nil, err
+// recordLine renders one journal line (including the trailing newline) and
+// returns the payload as written. json.Marshal writes a RawMessage
+// compacted and HTML-escaped, so the payload is normalised that way first
+// and the checksum covers the bytes on disk.
+func recordLine(i int, data json.RawMessage) (line []byte, written json.RawMessage, err error) {
+	if written, err = json.Marshal(data); err != nil {
+		return nil, nil, err
 	}
-	return append(line, '\n'), nil
+	if line, err = json.Marshal(record{Index: i, SHA: shaHex(written), Data: written}); err != nil {
+		return nil, nil, err
+	}
+	return append(line, '\n'), written, nil
+}
+
+// isRecordLine reports whether line (without its newline) is byte for byte
+// the line recordLine writes for r: its checksum covers its payload, and a
+// healed journal reads back unchanged.
+func isRecordLine(line []byte, r record) bool {
+	want, _, err := recordLine(r.Index, r.Data)
+	return err == nil && bytes.Equal(want[:len(want)-1], line)
 }
 
 // Dir returns the checkpoint directory.
@@ -333,13 +346,14 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Append journals record i. The write is one call followed by fsync, so a
-// crash leaves at most a torn tail; failures degrade checkpointing (the
-// record is recomputed on resume) and are counted, never fatal to the
-// caller's run. After the KillAfterAppends-th successful append the chaos
-// knob kills the process.
+// Append journals record i, its payload compacted and HTML-escaped as
+// json.Marshal writes it (Get returns those bytes). The write is one call
+// followed by fsync, so a crash leaves at most a torn tail; failures
+// degrade checkpointing (the record is recomputed on resume) and are
+// counted, never fatal to the caller's run. After the KillAfterAppends-th
+// successful append the chaos knob kills the process.
 func (s *Store) Append(i int, data json.RawMessage) error {
-	line, err := recordLine(i, data)
+	line, data, err := recordLine(i, data)
 	if err != nil {
 		return err
 	}

@@ -83,17 +83,24 @@ func checkScreen(t *testing.T, name string, d stats.Distribution, c dpm.Costs, w
 
 // TestScreenMatchesReferenceOnFleetModels runs the screen on the idle models
 // the fleet fits: one exponential per gap-free trace (mp3, mpeg), and an
-// exponential plus a Pareto tail for the gapped mixed trace.
+// exponential plus a Pareto tail for the gapped mixed trace. The grid
+// points integrated over the 60 fits (of 60 × 43 = 2,580) are pinned
+// exactly: a rise fails, and a fall must update the table.
 func TestScreenMatchesReferenceOnFleetModels(t *testing.T) {
 	c := badgeCosts()
 	const seeds = 60
-	for _, app := range []string{"mp3", "mpeg", "mixed"} {
+	for _, tc := range []struct {
+		app  string
+		kept int // 18, 17 and 12 per fit
+	}{{"mp3", 1080}, {"mpeg", 1020}, {"mixed", 720}} {
 		kept := 0
 		for s := uint64(1); s <= seeds; s++ {
-			d := fleetIdleModel(t, app, s, s%7)
-			kept += checkScreen(t, fmt.Sprintf("%s seed %d", app, s), d, c, true)
+			d := fleetIdleModel(t, tc.app, s, s%7)
+			kept += checkScreen(t, fmt.Sprintf("%s seed %d", tc.app, s), d, c, true)
 		}
-		t.Logf("%s: %.1f of 43 grid points evaluated exactly per fit", app, float64(kept)/seeds)
+		if kept != tc.kept {
+			t.Errorf("%s: %d of %d grid points integrated, want %d", tc.app, kept, seeds*43, tc.kept)
+		}
 	}
 }
 

@@ -13,61 +13,82 @@
 // Design rules:
 //
 //   - Nil is the fast path. Every method on a nil *Registry, *Counter,
-//     *Gauge, *Histogram, *PhaseTimer, *Tracer or *Obs is a no-op, so
-//     instrumented code holds handles unconditionally and pays only a nil
-//     check when observability is disabled. Simulation results are
-//     bit-identical with and without an attached Obs.
+//     *Gauge, *Histogram, *PhaseTimer, *Tracer or *Obs is a no-op that
+//     returns before it touches a lock, so instrumented code holds handles
+//     unconditionally and pays only a nil check when observability is
+//     disabled; the updaters (Add, Inc, Set, Observe) keep their locked
+//     bodies out of line so that check inlines into the caller. Simulation
+//     results are bit-identical with and without an attached Obs.
 //   - Handles are resolved once. Instrument points look a Counter or
 //     Histogram up by name at construction time and then update through the
 //     returned pointer: no map lookups or string hashing on hot paths. The
 //     Registry counts its name resolutions, and a test pins that the count
 //     does not grow with the length of the simulated workload.
-//   - Single goroutine. A Registry, its name table and its instruments
-//     have no lock: one goroutine owns them (one run = one registry),
-//     matching how the simulator and the characterisation collector use
-//     them. Concurrent writers use SyncRegistry, and lockcheck forbids raw
-//     Registry instruments in any package that starts goroutines.
+//   - One lock per registry. Every name lookup, instrument update and
+//     Snapshot takes the registry's mutex, which each instrument shares, so
+//     any number of goroutines (concurrent runs, fleet shards, request
+//     handlers) may write one registry and a snapshot is consistent across
+//     instruments. A Registry must not be copied.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"sync"
 	"time"
 )
 
 // Counter is a monotonically growing sum.
-type Counter struct{ v float64 }
+type Counter struct {
+	mu *sync.Mutex // the registry's
+	v  float64
+}
 
 // Add increments the counter. No-op on a nil receiver.
 func (c *Counter) Add(d float64) {
 	if c != nil {
-		c.v += d
+		c.add(d)
 	}
 }
 
-// Inc adds one. No-op on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
+// add is Add's body, kept out of line so that the nil check inlines.
+func (c *Counter) add(d float64) {
+	c.mu.Lock()
+	c.v += d
+	c.mu.Unlock()
 }
+
+// Inc adds one. No-op on a nil receiver.
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current sum (0 for nil).
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.v
 }
 
 // Gauge is a last-write-wins value.
-type Gauge struct{ v float64 }
+type Gauge struct {
+	mu *sync.Mutex // the registry's
+	v  float64
+}
 
 // Set stores the value. No-op on a nil receiver.
 func (g *Gauge) Set(v float64) {
 	if g != nil {
-		g.v = v
+		g.set(v)
 	}
+}
+
+// set is Set's body, kept out of line so that the nil check inlines.
+func (g *Gauge) set(v float64) {
+	g.mu.Lock()
+	g.v = v
+	g.mu.Unlock()
 }
 
 // Value returns the stored value (0 for nil).
@@ -75,6 +96,8 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.v
 }
 
@@ -83,6 +106,7 @@ func (g *Gauge) Value() float64 {
 // Bounds are set at registration and never reallocated, so Observe is a
 // branch-light scan with no allocation.
 type Histogram struct {
+	mu     *sync.Mutex // the registry's
 	bounds []float64
 	counts []int64 // len(bounds)+1; last is the +Inf bucket
 	count  int64
@@ -93,9 +117,23 @@ type Histogram struct {
 
 // Observe records one sample. No-op on a nil receiver.
 func (h *Histogram) Observe(x float64) {
-	if h == nil {
-		return
+	if h != nil {
+		h.observe(x)
 	}
+}
+
+// observe is Observe's body, kept out of line so that the nil check, which
+// the simulator pays once per frame when observability is off, inlines into
+// callers.
+func (h *Histogram) observe(x float64) {
+	bucket := len(h.bounds)
+	for i, b := range h.bounds {
+		if x <= b {
+			bucket = i
+			break
+		}
+	}
+	h.mu.Lock()
 	if h.count == 0 || x < h.min {
 		h.min = x
 	}
@@ -104,13 +142,8 @@ func (h *Histogram) Observe(x float64) {
 	}
 	h.count++
 	h.sum += x
-	for i, b := range h.bounds {
-		if x <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
+	h.counts[bucket]++
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations (0 for nil).
@@ -118,6 +151,8 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -126,6 +161,8 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.sum
 }
 
@@ -133,20 +170,24 @@ func (h *Histogram) Sum() float64 {
 // characterisation, a sweep, a replication batch). It measures real elapsed
 // time, not simulated time.
 type PhaseTimer struct {
+	mu    *sync.Mutex // the registry's
 	total time.Duration
 	count int64
 }
 
-// Start begins one timed phase and returns the function that ends it.
-// On a nil receiver both halves are no-ops.
+// Start begins one timed phase and returns the function that ends it. The
+// clock is read outside the lock. On a nil receiver both halves are no-ops.
 func (t *PhaseTimer) Start() func() {
 	if t == nil {
 		return func() {}
 	}
 	start := time.Now() //lint:allow detcheck PhaseTimer measures real elapsed time by design
 	return func() {
-		t.total += time.Since(start) //lint:allow detcheck PhaseTimer measures real elapsed time by design
+		d := time.Since(start) //lint:allow detcheck PhaseTimer measures real elapsed time by design
+		t.mu.Lock()
+		t.total += d
 		t.count++
+		t.mu.Unlock()
 	}
 }
 
@@ -155,13 +196,19 @@ func (t *PhaseTimer) Total() time.Duration {
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.total
 }
 
-// Registry holds one run's named instruments. The zero value is not usable;
-// create with NewRegistry. A nil *Registry hands out nil instruments, whose
-// methods are all no-ops — the disabled fast path.
+// Registry holds named instruments, written by one run or by many
+// concurrent ones. The zero value is not usable; create with NewRegistry. A
+// nil *Registry hands out nil instruments, whose methods are all no-ops —
+// the disabled fast path.
 type Registry struct {
+	// mu guards the name tables, lookups and every instrument's state;
+	// each instrument holds a pointer to it.
+	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -187,10 +234,12 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lookups++
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{}
+		c = &Counter{mu: &r.mu}
 		r.counters[name] = c
 	}
 	return c
@@ -202,10 +251,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lookups++
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{}
+		g = &Gauge{mu: &r.mu}
 		r.gauges[name] = g
 	}
 	return g
@@ -218,12 +269,14 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lookups++
 	h, ok := r.hists[name]
 	if !ok {
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
-		h = &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
+		h = &Histogram{mu: &r.mu, bounds: b, counts: make([]int64, len(b)+1)}
 		r.hists[name] = h
 	}
 	return h
@@ -235,10 +288,12 @@ func (r *Registry) Timer(name string) *PhaseTimer {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.lookups++
 	t, ok := r.timers[name]
 	if !ok {
-		t = &PhaseTimer{}
+		t = &PhaseTimer{mu: &r.mu}
 		r.timers[name] = t
 	}
 	return t
@@ -271,12 +326,15 @@ type Snapshot struct {
 	Timers     map[string]TimerSnapshot     `json:"timers,omitempty"`
 }
 
-// Snapshot copies the registry's current state. Empty on a nil registry.
+// Snapshot copies the registry's current state; no update is ever
+// half-visible. Empty on a nil registry.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]float64, len(r.counters))
 		for name, c := range r.counters {

@@ -60,13 +60,11 @@ const (
 	DefaultRetryAfterS  = 1
 )
 
-// Config tunes a Server. The zero value serves with the defaults above and
-// the process-wide threshold cache.
+// Config tunes a Server. The zero value serves with the defaults above.
+// /v1/thresholds and the /metrics cache gauges use the process-wide
+// threshold cache (experiments.ThresholdCache) as it stands at New, the
+// same cache the daemon's fleet runs characterise through.
 type Config struct {
-	// Cache serves /v1/thresholds and reports hit ratios on /metrics.
-	// nil selects the process-wide cache (experiments.ThresholdCache), so
-	// the daemon's fleet runs and its thresholds endpoint share one cache.
-	Cache *thrcache.Cache
 	// MaxInFlight bounds concurrently executing engine requests;
 	// <= 0 selects DefaultMaxInFlight.
 	MaxInFlight int
@@ -105,9 +103,9 @@ type Config struct {
 // route bundles one endpoint's pre-resolved instruments (obs handles are
 // resolved once at construction, per the obs discipline).
 type route struct {
-	requests  *obs.SyncCounter
-	failures  *obs.SyncCounter
-	latencyMS *obs.SyncHistogram
+	requests  *obs.Counter
+	failures  *obs.Counter
+	latencyMS *obs.Histogram
 }
 
 // Server is the daemon. Create with New; serve with Serve or via Handler.
@@ -124,20 +122,20 @@ type Server struct {
 
 	idem *idemCache
 
-	metrics     *obs.SyncRegistry
-	gQueue      *obs.SyncGauge
-	gInFlight   *obs.SyncGauge
-	cShed       *obs.SyncCounter
-	cCanceled   *obs.SyncCounter
-	cIdemMiss   *obs.SyncCounter
-	cIdemJoin   *obs.SyncCounter
-	cIdemReplay *obs.SyncCounter
-	cEngineFlt  *obs.SyncCounter
-	gCacheMem   *obs.SyncGauge
-	gCacheDsk   *obs.SyncGauge
-	gCacheMis   *obs.SyncGauge
-	gCacheShr   *obs.SyncGauge
-	gCacheHit   *obs.SyncGauge
+	metrics     *obs.Registry
+	gQueue      *obs.Gauge
+	gInFlight   *obs.Gauge
+	cShed       *obs.Counter
+	cCanceled   *obs.Counter
+	cIdemMiss   *obs.Counter
+	cIdemJoin   *obs.Counter
+	cIdemReplay *obs.Counter
+	cEngineFlt  *obs.Counter
+	gCacheMem   *obs.Gauge
+	gCacheDsk   *obs.Gauge
+	gCacheMis   *obs.Gauge
+	gCacheShr   *obs.Gauge
+	gCacheHit   *obs.Gauge
 
 	rFleet route
 	rRun   route
@@ -182,11 +180,8 @@ func New(cfg Config) *Server {
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = time.Duration(cfg.MaxTimeoutMS)*time.Millisecond + time.Minute
 	}
-	cache := cfg.Cache
-	if cache == nil {
-		cache = experiments.ThresholdCache()
-	}
-	m := obs.NewSyncRegistry()
+	cache := experiments.ThresholdCache()
+	m := obs.NewRegistry()
 	s := &Server{
 		cfg:         cfg,
 		cache:       cache,
@@ -251,7 +246,7 @@ func (s *Server) engineFleet(ctx context.Context, cfg fleet.Config) (*fleet.Repo
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics returns the daemon's metrics registry.
-func (s *Server) Metrics() *obs.SyncRegistry { return s.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Serve accepts connections on l until Shutdown; it returns
 // http.ErrServerClosed after a clean shutdown, like net/http.

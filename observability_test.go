@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -180,5 +181,55 @@ func TestObservabilityTraceShape(t *testing.T) {
 	}
 	if kinds["run_end"] != 1 {
 		t.Errorf("run_end events = %d, want exactly 1", kinds["run_end"])
+	}
+}
+
+// TestConcurrentRunsShareOneRegistry runs four badges at once into one
+// registry, the way a fleet's shards would sum their telemetry: no update
+// may be lost. Gauges are last-write-wins and are not checked.
+func TestConcurrentRunsShareOneRegistry(t *testing.T) {
+	reg := NewMetricsRegistry()
+	o := NewObservability(reg, nil)
+	const runs = 4
+	decoded := make([]int, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr, err := MP3Trace(uint64(i+1), "AB")
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := Run(Options{
+				Application: AppMP3,
+				Policy:      PolicyChangePoint,
+				DPM:         DPMRenewal,
+				Trace:       tr,
+				Obs:         o,
+			})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			decoded[i] = res.FramesDecoded
+		}()
+	}
+	wg.Wait()
+	want := 0
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want += decoded[i]
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["sim.frames_decoded"]; got != float64(want) {
+		t.Errorf("sim.frames_decoded = %v, want the runs' total %d", got, want)
+	}
+	if got := snap.Histograms["sim.frame_delay_s"].Count; got != int64(want) {
+		t.Errorf("sim.frame_delay_s holds %d observations, want the runs' total %d", got, want)
 	}
 }

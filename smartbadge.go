@@ -306,7 +306,9 @@ func (o Options) Validate() error {
 type Observability = obs.Obs
 
 // MetricsRegistry accumulates counters, gauges and histograms during a run;
-// snapshot it with WriteJSON after Run returns.
+// snapshot it with WriteJSON after Run returns. One registry is safe to
+// share across concurrent Runs: counters and histograms sum over them, and
+// gauges are last-write-wins.
 type MetricsRegistry = obs.Registry
 
 // EventTracer streams structured JSONL events (arrivals, decodes,
@@ -321,7 +323,8 @@ type TraceEvent = obs.Event
 // Options.Obs; either may be nil.
 func NewObservability(reg *MetricsRegistry, tr *EventTracer) *Observability { return obs.New(reg, tr) }
 
-// NewMetricsRegistry returns an empty metrics registry.
+// NewMetricsRegistry returns an empty metrics registry, safe for
+// concurrent Runs.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewEventTracer returns a tracer writing JSONL to w.
