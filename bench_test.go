@@ -11,6 +11,7 @@ package smartbadge
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"smartbadge/internal/changepoint"
@@ -185,11 +186,11 @@ func runDetectorAblation(b *testing.B, mutate func(*changepoint.Config)) {
 		cfg := changepoint.DefaultConfig(grid)
 		cfg.CharacterisationWindows = 1500
 		mutate(&cfg)
-		th, err := changepoint.Characterise(cfg)
+		ths, err := changepoint.Characterise(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		det, err := changepoint.NewDetector(cfg, th, initial)
+		det, err := changepoint.NewDetector(cfg, ths[0], initial)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,11 +274,11 @@ func runDetectorAblationWithGrids(b *testing.B, app experiments.App) {
 	mkEst := func(grid []float64, initial float64) policy.Estimator {
 		cfg := changepoint.DefaultConfig(grid)
 		cfg.CharacterisationWindows = 1500
-		th, err := changepoint.Characterise(cfg)
+		ths, err := changepoint.Characterise(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		det, err := changepoint.NewDetector(cfg, th, initial)
+		det, err := changepoint.NewDetector(cfg, ths[0], initial)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -574,11 +575,11 @@ func BenchmarkDetectorObserve(b *testing.B) {
 	}
 	cfg := changepoint.DefaultConfig(rates)
 	cfg.CharacterisationWindows = 500
-	th, err := changepoint.Characterise(cfg)
+	ths, err := changepoint.Characterise(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	det, err := changepoint.NewDetector(cfg, th, 20)
+	det, err := changepoint.NewDetector(cfg, ths[0], 20)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -760,6 +761,41 @@ func BenchmarkCharacteriseCold(b *testing.B) {
 		if _, err := changepoint.Characterise(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// appGridConfigs returns the default detector configs of the five distinct
+// application rate grids (MixedApp's arrival grid is MP3App's).
+func appGridConfigs() []changepoint.Config {
+	var cfgs []changepoint.Config
+	for _, app := range []experiments.App{experiments.MP3App(), experiments.MPEGApp(), experiments.MixedApp()} {
+		for _, grid := range [][]float64{app.ArrivalGrid, app.ServiceGrid} {
+			if !slices.ContainsFunc(cfgs, func(c changepoint.Config) bool { return slices.Equal(c.Rates, grid) }) {
+				cfgs = append(cfgs, changepoint.DefaultConfig(grid))
+			}
+		}
+	}
+	return cfgs
+}
+
+// BenchmarkCharacteriseAppGrids measures the cold characterisation a
+// process pays for its first change-point badge: the five application grids
+// at the paper's settings in one call, which draws each of the 14 null
+// window streams once for all 62 ratios.
+func BenchmarkCharacteriseAppGrids(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
+			cfgs := appGridConfigs()
+			for i := range cfgs {
+				cfgs[i].Workers = workers
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := changepoint.Characterise(cfgs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -63,6 +64,20 @@ func TestRunCharacterise(t *testing.T) {
 	}
 	if err := run(io.Discard, "10,60", 0, 0, 0, 0.99, 300, 50, 1, -3, false, "off", "", ""); err == nil {
 		t.Error("negative worker count accepted")
+	}
+}
+
+// TestRunRejectsNonFiniteInputs: an infinite or NaN rate used to panic a
+// characterisation worker (and so the process), and a NaN confidence
+// returned the histogram's lower edge as every threshold.
+func TestRunRejectsNonFiniteInputs(t *testing.T) {
+	for _, c := range []struct {
+		rates      string
+		confidence float64
+	}{{"1,inf", 0.995}, {"10,NaN,20", 0.995}, {"10,20", math.NaN()}} {
+		if err := run(io.Discard, c.rates, 0, 0, 0, c.confidence, 100, 100, 1, 0, false, "off", "", ""); err == nil {
+			t.Errorf("rates %s, confidence %v accepted", c.rates, c.confidence)
+		}
 	}
 }
 

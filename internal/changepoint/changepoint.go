@@ -33,8 +33,7 @@
 // exact O(n·|Λ|) scan, which reads each suffix sum in O(1) from the window's
 // compensated prefix ring (stats.Window.SuffixSum) and alone produces every
 // reported Detection. The screen changes the cost of a check, never its
-// result. Characterisation scores its null windows with the reference
-// backward pass (logLikelihoodMax).
+// result.
 //
 // Off-line characterisation. For each (λo, λn) pair from the predefined rate
 // set Λ, windows are simulated under the null hypothesis (all m samples at
@@ -44,7 +43,17 @@
 // happened. Because the null distribution of ln P(k) depends on (λo, λn)
 // only through the ratio λn/λo (λo·Σx is a Gamma(m−k, 1) pivot), thresholds
 // are cached per ratio, which collapses a geometric rate grid to a handful
-// of simulations.
+// of simulations at λo = 1. The i-th distinct ratio of a grid, in scan
+// order, draws its null windows from RNG stream SplitAt(i) of the seed, so
+// grids that share the seed, m and the window count draw the same windows
+// for their i-th ratios. Characterise therefore takes several configs and
+// draws each stream once: every window's suffix sums are accumulated once,
+// newest sample first, and scored against the i-th ratio of every grid by
+// the reference backward pass of Equation 4, so each table is bit for bit
+// the one its config gets alone. The five application grids have 62 ratios
+// but 14 streams between them. Histograms, never per-window statistics, are
+// kept; a ratio whose histogram clips near the quantile re-draws only its
+// own stream over a doubled span.
 //
 // On-line detection. Every k-th observation (the paper's check interval),
 // the detector evaluates the statistic for every candidate λn ≠ λo and
@@ -105,15 +114,16 @@ type Config struct {
 	CharacterisationWindows int
 	// Seed drives the characterisation simulation.
 	Seed uint64
-	// Workers bounds the characterisation fan-out: the distinct rate ratios
-	// are simulated concurrently, each on its own index-derived RNG stream,
-	// so the thresholds are bit-for-bit identical for any worker count.
-	// 0 selects runtime.GOMAXPROCS(0); negative is invalid.
+	// Workers bounds the characterisation fan-out: the RNG streams of a
+	// pass (one per ratio index) are simulated concurrently, each derived
+	// from its index, so the thresholds are bit-for-bit identical for any
+	// worker count. 0 selects runtime.GOMAXPROCS(0); negative is invalid.
 	Workers int
 	// Obs, when non-nil, attaches the observability layer to the off-line
-	// characterisation: a phase timer around the simulation, a counter of
-	// simulated windows, and one "threshold" trace event per rate ratio.
-	// It does not affect the computed thresholds.
+	// characterisation: a phase timer around each pass, counters of the
+	// windows drawn, the windows scored and the ratios characterised, and
+	// one "threshold" trace event per rate ratio. It does not affect the
+	// computed thresholds.
 	Obs *obs.Obs
 }
 
@@ -138,14 +148,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("changepoint: need at least two candidate rates, got %d", len(c.Rates))
 	}
 	seen := map[float64]bool{}
+	lo, hi := math.Inf(1), 0.0
 	for _, r := range c.Rates {
-		if r <= 0 {
-			return fmt.Errorf("changepoint: candidate rate must be positive, got %v", r)
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("changepoint: candidate rate must be positive and finite, got %v", r)
 		}
 		if seen[r] {
 			return fmt.Errorf("changepoint: duplicate candidate rate %v", r)
 		}
 		seen[r] = true
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	if math.IsInf(hi/lo, 1) {
+		return fmt.Errorf("changepoint: rate ratio %v/%v overflows", hi, lo)
 	}
 	if c.WindowSize < 10 {
 		return fmt.Errorf("changepoint: window size %d too small (need >= 10)", c.WindowSize)
@@ -166,7 +181,7 @@ func (c Config) Validate() error {
 	if c.RefineAfter < 0 {
 		return fmt.Errorf("changepoint: refine-after must be non-negative, got %d", c.RefineAfter)
 	}
-	if c.Confidence <= 0.5 || c.Confidence >= 1 {
+	if !(c.Confidence > 0.5 && c.Confidence < 1) {
 		return fmt.Errorf("changepoint: confidence must be in (0.5, 1), got %v", c.Confidence)
 	}
 	if c.CharacterisationWindows < 100 {
@@ -182,8 +197,8 @@ func (c Config) Validate() error {
 // the given number of points — the natural Λ for multimedia rates that span
 // an order of magnitude. The grid always includes both endpoints.
 func GeometricRates(lo, hi float64, n int) ([]float64, error) {
-	if lo <= 0 || hi <= lo {
-		return nil, fmt.Errorf("changepoint: need 0 < lo < hi, got [%v, %v]", lo, hi)
+	if !(lo > 0 && hi > lo) || math.IsInf(hi/lo, 1) {
+		return nil, fmt.Errorf("changepoint: need 0 < lo < hi with a finite ratio hi/lo, got [%v, %v]", lo, hi)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("changepoint: need at least two grid points, got %d", n)
@@ -218,31 +233,10 @@ func SnapRate(rates []float64, x float64) float64 {
 	return best
 }
 
-// logLikelihoodMax computes max_k ln P(k) for the window values (oldest
-// first) under candidate rates (λo → λn), along with the argmax k.
-// Equation 4 of the paper, evaluated for every k in one backward pass.
-func logLikelihoodMax(values []float64, oldRate, newRate float64) (best float64, bestK int) {
-	m := len(values)
-	logRatio := math.Log(newRate / oldRate)
-	delta := newRate - oldRate
-	best = math.Inf(-1)
-	bestK = m
-	suffix := 0.0
-	// k = m-1 .. 0; suffix holds Σ_{j=k+1..m} x_j after adding values[k].
-	for k := m - 1; k >= 0; k-- {
-		suffix += values[k]
-		lp := float64(m-k)*logRatio - delta*suffix
-		if lp > best {
-			best = lp
-			bestK = k
-		}
-	}
-	return best, bestK
-}
-
-// likelihoodMaxFromSuffixes is logLikelihoodMax with the suffix sums already
-// in hand, sufs[k] = Σ_{j=k+1..m} x_j, and the candidate's constants
-// precomputed: logRatio = ln(λn/λo) and delta = λn − λo. The forward scan
+// likelihoodMaxFromSuffixes is the reference backward pass (logLikelihoodMax,
+// in the tests) with the suffix sums already in hand,
+// sufs[k] = Σ_{j=k+1..m} x_j, and the candidate's constants precomputed:
+// logRatio = ln(λn/λo) and delta = λn − λo. The forward scan
 // with >= keeps the largest k among tied maxima, matching the reference
 // backward pass (which keeps the first maximum it meets coming down from
 // k = m-1).
@@ -277,41 +271,91 @@ func ratioKey(ratio float64) int64 {
 	return int64(math.Round(math.Log(ratio) * 1e9))
 }
 
-// Characterise runs the off-line stochastic simulation and returns the
-// threshold table for the configured rate set. This is the expensive,
-// run-once step; the result can be shared by any number of detectors.
-func Characterise(cfg Config) (*Thresholds, error) {
-	t, _, err := characterise(cfg, false)
-	return t, err
+// Characterise runs the off-line stochastic simulation and returns one
+// threshold table per config, in order. This is the expensive, run-once
+// step; a table can be shared by any number of detectors.
+//
+// Configs that share Seed, WindowSize, CharacterisationWindows, Workers and
+// Obs are characterised in one pass that draws each null window once for all
+// of them, and every table is bit-identical to the one its config gets
+// alone.
+func Characterise(cfgs ...Config) ([]*Thresholds, error) {
+	grids, err := characterise(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Thresholds, len(grids))
+	for i, g := range grids {
+		out[i] = g.thresholds()
+	}
+	return out, nil
 }
 
 // CharacteriseDetailed additionally returns the null-hypothesis statistic
 // histograms per rate ratio — the "results accumulated in a histogram" the
 // paper describes — for inspection (see cmd/characterize -hist).
 func CharacteriseDetailed(cfg Config) (*Thresholds, map[float64]*stats.Histogram, error) {
-	return characterise(cfg, true)
-}
-
-func characterise(cfg Config, keepHistograms bool) (*Thresholds, map[float64]*stats.Histogram, error) {
-	if err := cfg.Validate(); err != nil {
+	grids, err := characterise([]Config{cfg})
+	if err != nil {
 		return nil, nil, err
 	}
-	t := &Thresholds{
-		windowSize: cfg.WindowSize,
-		confidence: cfg.Confidence,
-		byRatio:    make(map[int64]float64),
+	g := grids[0]
+	hists := make(map[float64]*stats.Histogram, len(g.ratios))
+	for i, ratio := range g.ratios {
+		hists[ratio] = g.hists[i]
 	}
-	var hists map[float64]*stats.Histogram
-	if keepHistograms {
-		hists = make(map[float64]*stats.Histogram)
+	return g.thresholds(), hists, nil
+}
+
+// grid is one config's share of a characterisation pass.
+type grid struct {
+	cfg Config
+	// ratios are the grid's distinct ratios λn/λo in scan order: ratio i is
+	// simulated on stream SplitAt(i) of the seed.
+	ratios []float64
+	// hists holds each ratio's null-statistic histogram once simulated.
+	hists []*stats.Histogram
+}
+
+// characterise validates cfgs and simulates them, one pass per group of
+// configs that can share their null windows.
+func characterise(cfgs []Config) ([]*grid, error) {
+	type passKey struct {
+		seed                uint64
+		m, windows, workers int
+		obs                 *obs.Obs
 	}
-	// The null distribution depends only on the ratio, and the pivot
-	// λo·Σx lets us simulate once at λo = 1. Collect the distinct ratios in
-	// deterministic scan order, then fan the simulations out: each ratio gets
-	// its own index-derived RNG stream, so the thresholds are identical for
-	// any worker count.
+	grids := make([]*grid, len(cfgs))
+	var passes [][]*grid
+	at := make(map[passKey]int)
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		grids[i] = newGrid(cfg)
+		k := passKey{cfg.Seed, cfg.WindowSize, cfg.CharacterisationWindows, cfg.Workers, cfg.Obs}
+		p, ok := at[k]
+		if !ok {
+			p = len(passes)
+			at[k] = p
+			passes = append(passes, nil)
+		}
+		passes[p] = append(passes[p], grids[i])
+	}
+	for _, pass := range passes {
+		if err := characterisePass(pass); err != nil {
+			return nil, err
+		}
+	}
+	return grids, nil
+}
+
+// newGrid collects the distinct ratios of cfg's rate grid in deterministic
+// scan order. The null distribution depends only on the ratio, and the
+// pivot λo·Σx lets every ratio be simulated at λo = 1.
+func newGrid(cfg Config) *grid {
+	g := &grid{cfg: cfg}
 	seen := make(map[int64]bool)
-	var ratios []float64
 	for _, lo := range cfg.Rates {
 		for _, ln := range cfg.Rates {
 			if lo == ln {
@@ -320,83 +364,171 @@ func characterise(cfg Config, keepHistograms bool) (*Thresholds, map[float64]*st
 			ratio := ln / lo
 			if key := ratioKey(ratio); !seen[key] {
 				seen[key] = true
-				ratios = append(ratios, ratio)
+				g.ratios = append(g.ratios, ratio)
 			}
 		}
 	}
-	stop := cfg.Obs.Registry().Timer("changepoint.characterise").Start()
-	base := stats.NewRNG(cfg.Seed)
-	//lint:allow ctxflow characterisation is a single-flight cache fill with no caller context: the one non-cancellable stage
-	hs, err := parallel.Map(context.Background(), cfg.Workers, len(ratios), func(i int) (*stats.Histogram, error) {
-		return characteriseRatio(base.SplitAt(uint64(i)), ratios[i], cfg)
-	})
-	stop()
-	if err != nil {
-		return nil, nil, err
+	g.hists = make([]*stats.Histogram, len(g.ratios))
+	return g
+}
+
+// thresholds reads each ratio's confidence quantile off its histogram.
+func (g *grid) thresholds() *Thresholds {
+	cfg := g.cfg
+	t := &Thresholds{
+		windowSize: cfg.WindowSize,
+		confidence: cfg.Confidence,
+		byRatio:    make(map[int64]float64, len(g.ratios)),
+		ratios:     append([]float64(nil), g.ratios...),
 	}
 	tr := cfg.Obs.Tracer()
-	for i, ratio := range ratios {
-		th := hs[i].Quantile(cfg.Confidence)
+	for i, ratio := range g.ratios {
+		th := g.hists[i].Quantile(cfg.Confidence)
 		t.byRatio[ratioKey(ratio)] = th
-		t.ratios = append(t.ratios, ratio)
-		if keepHistograms {
-			hists[ratio] = hs[i]
-		}
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: "threshold", NewRate: ratio, Value: th,
 				Detail: fmt.Sprintf("m=%d conf=%g windows=%d", cfg.WindowSize, cfg.Confidence, cfg.CharacterisationWindows)})
 		}
 	}
-	if reg := cfg.Obs.Registry(); reg != nil {
-		reg.Counter("changepoint.characterise.windows").
-			Add(float64(len(ratios) * cfg.CharacterisationWindows))
-		reg.Counter("changepoint.characterise.ratios").Add(float64(len(ratios)))
-	}
 	sort.Float64s(t.ratios)
-	return t, hists, nil
+	return t
 }
 
-// characteriseRatio simulates null windows at unit rate and returns the
-// histogram of the statistic for candidate rate = ratio. rng is this
-// ratio's private stream (the caller derives it with SplitAt, so workers
-// never share generator state). When the histogram clips near the
-// confidence quantile (extreme statistics landing in the under/overflow
-// bins, which would silently bias the threshold), the span is doubled and a
-// Clone of the untouched stream re-simulated — every attempt scores the
-// identical sample sequence and widening changes only the binning, never
-// the data. Persistent clipping fails loudly rather than returning a
-// biased threshold.
-func characteriseRatio(rng *stats.RNG, ratio float64, cfg Config) (*stats.Histogram, error) {
-	// Statistic range: ln P is bounded above by m·|ln ratio| in practice;
-	// histogram over a generous span with fine bins.
-	span := float64(cfg.WindowSize)*math.Abs(math.Log(ratio)) + 10
-	const maxAttempts = 8
-	for attempt := 0; ; attempt++ {
-		h := nullStatisticHistogram(rng.Clone(), ratio, cfg, span)
-		if !quantileClipped(h, cfg.Confidence) {
-			return h, nil
-		}
-		if attempt == maxAttempts-1 {
-			return nil, fmt.Errorf(
-				"changepoint: null statistic for ratio %v clips near the %.4g quantile even at span ±%g (under=%d over=%d of %d): threshold would be biased",
-				ratio, cfg.Confidence, span, h.UnderflowCount(), h.OverflowCount(), h.Count())
-		}
-		span *= 2
+// characterisePass simulates grids that share Seed, WindowSize,
+// CharacterisationWindows, Workers and Obs. Ratio i of each of them draws
+// its null windows from stream SplitAt(i) of the seed, so the pass fans out
+// over stream indices: each stream is drawn once and every window is scored
+// against ratio i of every grid that has one. The streams are index-derived,
+// so the histograms are identical for any worker count.
+func characterisePass(grids []*grid) error {
+	lead := grids[0].cfg
+	streams, ratios := 0, 0
+	for _, g := range grids {
+		streams = max(streams, len(g.ratios))
+		ratios += len(g.ratios)
 	}
+	reg := lead.Obs.Registry()
+	stop := reg.Timer("changepoint.characterise").Start()
+	base := stats.NewRNG(lead.Seed)
+	//lint:allow ctxflow characterisation is a single-flight cache fill with no caller context: the one non-cancellable stage
+	draws, err := parallel.Map(context.Background(), lead.Workers, streams, func(i int) (int, error) {
+		return characteriseStream(base.SplitAt(uint64(i)), i, grids)
+	})
+	stop()
+	if err != nil {
+		return err
+	}
+	if reg != nil {
+		drawn := 0
+		for _, d := range draws {
+			drawn += d
+		}
+		reg.Counter("changepoint.characterise.draws").Add(float64(drawn))
+		reg.Counter("changepoint.characterise.windows").Add(float64(ratios * lead.CharacterisationWindows))
+		reg.Counter("changepoint.characterise.ratios").Add(float64(ratios))
+	}
+	return nil
 }
 
-// nullStatisticHistogram fills one null-hypothesis histogram over [-span, span).
-func nullStatisticHistogram(rng *stats.RNG, ratio float64, cfg Config, span float64) *stats.Histogram {
-	values := make([]float64, cfg.WindowSize)
-	h := stats.NewHistogram(-span, span, 4096)
-	for w := 0; w < cfg.CharacterisationWindows; w++ {
-		for i := range values {
-			values[i] = rng.Exp(1)
+// characteriseStream fills hists[i] of every grid that has a ratio i from
+// stream i, rng, and returns the number of windows it drew. Only this call
+// writes element i, and parallel.Map joins every call before its caller
+// reads them. A histogram that clips near its confidence quantile is
+// re-simulated alone over a wider span (widen).
+func characteriseStream(rng *stats.RNG, i int, grids []*grid) (int, error) {
+	var scores []score
+	for _, g := range grids {
+		if i < len(g.ratios) {
+			scores = append(scores, newScore(g, g.ratios[i]))
 		}
-		s, _ := logLikelihoodMax(values, 1, ratio)
-		h.Add(s)
 	}
-	return h
+	cfg := grids[0].cfg
+	simulate(rng.Clone(), cfg.WindowSize, cfg.CharacterisationWindows, scores)
+	drawn := cfg.CharacterisationWindows
+	for _, s := range scores {
+		if quantileClipped(s.h, s.g.cfg.Confidence) {
+			wide, n, err := widen(rng, s)
+			drawn += n
+			if err != nil {
+				return drawn, err
+			}
+			s = wide
+		}
+		s.g.hists[i] = s.h
+	}
+	return drawn, nil
+}
+
+// score accumulates the null statistic of one of g's ratios over
+// [-span, span).
+type score struct {
+	g                     *grid
+	ratio, logRatio, span float64
+	h                     *stats.Histogram
+}
+
+// newScore sizes a ratio's histogram: ln P is bounded above by m·|ln ratio|
+// in practice, so the span is generous and the bins fine.
+func newScore(g *grid, ratio float64) score {
+	l := math.Log(ratio)
+	span := float64(g.cfg.WindowSize)*math.Abs(l) + 10
+	return score{g: g, ratio: ratio, logRatio: l, span: span, h: stats.NewHistogram(-span, span, 4096)}
+}
+
+// widen re-simulates a ratio whose histogram clipped near the confidence
+// quantile (extreme statistics landing in the under/overflow bins, which
+// would silently bias the threshold), doubling the span each time. rng is
+// the ratio's untouched stream and every attempt draws from a Clone of it,
+// so every attempt scores the identical sample sequence and widening changes
+// only the binning, never the data. Persistent clipping fails loudly rather
+// than returning a biased threshold. It returns the widened score and the
+// number of windows it drew.
+func widen(rng *stats.RNG, s score) (score, int, error) {
+	const maxAttempts = 8 // spans tried in all, the first one included
+	cfg := s.g.cfg
+	for attempt := 1; attempt < maxAttempts; attempt++ {
+		s.span *= 2
+		s.h = stats.NewHistogram(-s.span, s.span, 4096)
+		simulate(rng.Clone(), cfg.WindowSize, cfg.CharacterisationWindows, []score{s})
+		if !quantileClipped(s.h, cfg.Confidence) {
+			return s, attempt * cfg.CharacterisationWindows, nil
+		}
+	}
+	return s, (maxAttempts - 1) * cfg.CharacterisationWindows, fmt.Errorf(
+		"changepoint: null statistic for ratio %v clips near the %.4g quantile even at span ±%g (under=%d over=%d of %d): threshold would be biased",
+		s.ratio, cfg.Confidence, s.span, s.h.UnderflowCount(), s.h.OverflowCount(), s.h.Count())
+}
+
+// simulate draws windows null windows of m unit-rate samples from rng and
+// adds each window's statistic max_k ln P(k) under every score's ratio to
+// that score's histogram. A window's suffix sums are accumulated once,
+// newest sample first, with the additions of the reference backward pass
+// (logLikelihoodMax(window, 1, ratio) in the tests), and each ratio is
+// scored by that pass's scan over them, so every histogram is the one its
+// ratio gets when simulated alone.
+func simulate(rng *stats.RNG, m, windows int, scores []score) {
+	sufs := make([]float64, m)
+	for w := 0; w < windows; w++ {
+		for k := range sufs {
+			sufs[k] = rng.UnitExp()
+		}
+		// sufs[k] becomes Σ_{j=k+1..m} x_j.
+		suffix := 0.0
+		for k := m - 1; k >= 0; k-- {
+			suffix += sufs[k]
+			sufs[k] = suffix
+		}
+		for _, s := range scores {
+			delta := s.ratio - 1
+			best := math.Inf(-1)
+			for k := m - 1; k >= 0; k-- {
+				if lp := float64(m-k)*s.logRatio - delta*sufs[k]; lp > best {
+					best = lp
+				}
+			}
+			s.h.Add(best)
+		}
+	}
 }
 
 // quantileClipped reports whether out-of-range samples could bias the

@@ -16,11 +16,11 @@ func testConfig() Config {
 
 func mustThresholds(t *testing.T, cfg Config) *Thresholds {
 	t.Helper()
-	th, err := Characterise(cfg)
+	ths, err := Characterise(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return th
+	return ths[0]
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -39,6 +39,13 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Confidence = 0.4 },
 		func(c *Config) { c.Confidence = 1.0 },
 		func(c *Config) { c.CharacterisationWindows = 10 },
+		// Non-finite inputs: each used to pass, and a rate crashed
+		// characterisation with an out-of-range histogram index.
+		func(c *Config) { c.Rates = []float64{10, math.NaN(), 20} },
+		func(c *Config) { c.Rates = []float64{1, math.Inf(1)} },
+		func(c *Config) { c.Rates = []float64{1e-300, 1e300} },
+		func(c *Config) { c.Confidence = math.NaN() },
+		func(c *Config) { c.Confidence = math.Inf(1) },
 	}
 	for i, mutate := range mutations {
 		cfg := testConfig()
@@ -67,7 +74,9 @@ func TestGeometricRates(t *testing.T) {
 			t.Errorf("ratio not constant at %d", i)
 		}
 	}
-	for _, bad := range [][3]float64{{0, 10, 4}, {10, 5, 4}, {5, 80, 1}} {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range [][3]float64{{0, 10, 4}, {10, 5, 4}, {5, 80, 1},
+		{nan, 10, 4}, {1, nan, 4}, {1, inf, 4}, {-inf, 1, 4}, {1e-300, 1e300, 4}} {
 		if _, err := GeometricRates(bad[0], bad[1], int(bad[2])); err == nil {
 			t.Errorf("GeometricRates(%v) accepted", bad)
 		}

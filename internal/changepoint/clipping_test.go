@@ -1,6 +1,7 @@
 package changepoint
 
 import (
+	"math"
 	"testing"
 
 	"smartbadge/internal/stats"
@@ -50,33 +51,39 @@ func TestQuantileClipped(t *testing.T) {
 }
 
 // TestCharacteriseRatioWidensSpanWhenClipped checks the loud-failure fix end
-// to end: a span too narrow for the statistic clips, and characteriseRatio
-// recovers by re-binning the identical sample stream over a doubled span
-// until the confidence quantile is clean.
+// to end: a span too narrow for the statistic clips, and widen recovers by
+// re-binning the identical sample stream over a doubled span until the
+// confidence quantile is clean.
 func TestCharacteriseRatioWidensSpanWhenClipped(t *testing.T) {
 	cfg := testConfig()
 	base := stats.NewRNG(cfg.Seed)
 
 	// A deliberately tiny span must clip near the quantile...
-	tiny := nullStatisticHistogram(base.SplitAt(3), 6, cfg, 0.05)
-	if !quantileClipped(tiny, cfg.Confidence) {
+	tiny := newScore(newGrid(cfg), 6)
+	tiny.span = 0.05
+	tiny.h = stats.NewHistogram(-tiny.span, tiny.span, 4096)
+	simulate(base.SplitAt(3), cfg.WindowSize, cfg.CharacterisationWindows, []score{tiny})
+	if !quantileClipped(tiny.h, cfg.Confidence) {
 		t.Fatal("expected a 0.05-wide span to clip the null statistic")
 	}
 
-	// ...while characteriseRatio's automatic widening returns a clean
-	// histogram over the same samples (each attempt re-simulates a Clone of
-	// the derived stream, so the data is identical).
-	h, err := characteriseRatio(base.SplitAt(3), 6, cfg)
+	// ...while widen returns a clean histogram over the same samples (each
+	// attempt re-simulates a Clone of the derived stream, so the data is
+	// identical).
+	s, drawn, err := widen(base.SplitAt(3), tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quantileClipped(h, cfg.Confidence) {
-		t.Fatal("characteriseRatio returned a clipped histogram")
+	if quantileClipped(s.h, cfg.Confidence) {
+		t.Fatal("widen returned a clipped histogram")
 	}
-	if h.Count() != int64(cfg.CharacterisationWindows) {
-		t.Fatalf("sample count = %d, want %d", h.Count(), cfg.CharacterisationWindows)
+	if s.h.Count() != int64(cfg.CharacterisationWindows) {
+		t.Fatalf("sample count = %d, want %d", s.h.Count(), cfg.CharacterisationWindows)
 	}
-	if h.Mean() != tiny.Mean() {
-		t.Fatalf("widening changed the data: mean %v vs %v", h.Mean(), tiny.Mean())
+	if attempts := int(math.Log2(s.span / tiny.span)); drawn != attempts*cfg.CharacterisationWindows {
+		t.Fatalf("drew %d windows over %d doublings, want %d", drawn, attempts, attempts*cfg.CharacterisationWindows)
+	}
+	if s.h.Mean() != tiny.h.Mean() {
+		t.Fatalf("widening changed the data: mean %v vs %v", s.h.Mean(), tiny.h.Mean())
 	}
 }

@@ -19,7 +19,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	det, err := changepoint.NewDetector(cfg, thresholds, 10)
+	det, err := changepoint.NewDetector(cfg, thresholds[0], 10)
 	if err != nil {
 		log.Fatal(err)
 	}

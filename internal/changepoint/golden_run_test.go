@@ -50,11 +50,11 @@ func TestIncrementalDetectorGoldenRun(t *testing.T) {
 	characterise := func(grid []float64) (*changepoint.Thresholds, changepoint.Config) {
 		cfg := changepoint.DefaultConfig(grid)
 		cfg.CharacterisationWindows = 800
-		th, err := changepoint.Characterise(cfg)
+		ths, err := changepoint.Characterise(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return th, cfg
+		return ths[0], cfg
 	}
 	arrTh, arrCfg := characterise(app.ArrivalGrid)
 	srvTh, srvCfg := characterise(app.ServiceGrid)

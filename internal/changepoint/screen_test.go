@@ -102,11 +102,11 @@ func gridThresholdsAt(t testing.TB, lo, hi float64, n, m, k int) (Config, *Thres
 	cfg := DefaultConfig(rates)
 	cfg.WindowSize, cfg.CheckInterval = m, k
 	cfg.CharacterisationWindows = 400
-	th, err := Characterise(cfg)
+	ths, err := Characterise(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, th
+	return cfg, ths[0]
 }
 
 // screenGeometries are the (m, k) pairs the rate-switch streams run on: the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"smartbadge/internal/thrcache"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -480,5 +482,40 @@ func TestAppConfigs(t *testing.T) {
 		if len(app.ArrivalGrid) < 2 || len(app.ServiceGrid) < 2 {
 			t.Error("grids too small")
 		}
+	}
+}
+
+// TestAppGridMissFillsEveryAppGrid: Figure 10's grid is characterised
+// alone, the first change-point estimator on any application grid
+// characterises all five application grids, and every later one is a
+// memory hit.
+func TestAppGridMissFillsEveryAppGrid(t *testing.T) {
+	defer SetThresholdCache(ThresholdCache())
+	c := thrcache.Memory()
+	SetThresholdCache(c)
+	if len(appGridConfigs) != 5 {
+		t.Fatalf("%d application grid configs, want 5", len(appGridConfigs))
+	}
+	if _, _, err := thresholdsFor([]float64{10, 20, 40, 60}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st != (thrcache.Stats{Misses: 1}) {
+		t.Fatalf("Figure 10's grid: stats = %+v, want 1 miss", st)
+	}
+	if _, err := NewEstimator(ChangePoint, MPEGApp().ServiceGrid, 50); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st != (thrcache.Stats{Misses: 6}) {
+		t.Fatalf("first app-grid estimator: stats = %+v, want 5 more misses", st)
+	}
+	for _, app := range []App{MP3App(), MPEGApp(), MixedApp()} {
+		for _, grid := range [][]float64{app.ArrivalGrid, app.ServiceGrid} {
+			if _, err := NewEstimator(ChangePoint, grid, grid[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if st := c.Stats(); st != (thrcache.Stats{Misses: 6, MemHits: 6}) {
+		t.Errorf("after every app grid: stats = %+v, want 6 misses and 6 mem hits", st)
 	}
 }

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -166,11 +167,38 @@ func SetThresholdCache(c *thrcache.Cache) {
 // ThresholdCache returns the threshold cache currently in use.
 func ThresholdCache() *thrcache.Cache { return thresholdCache.Load() }
 
+// appGridConfigs are the default detector configs of the five distinct
+// application rate grids (MixedApp's arrival grid is MP3App's). They share
+// the seed, window size and window count, so changepoint.Characterise draws
+// each null window once for all of them.
+var appGridConfigs = func() []changepoint.Config {
+	var cfgs []changepoint.Config
+	for _, app := range []App{MP3App(), MPEGApp(), MixedApp()} {
+		for _, grid := range [][]float64{app.ArrivalGrid, app.ServiceGrid} {
+			if !hasGrid(cfgs, grid) {
+				cfgs = append(cfgs, changepoint.DefaultConfig(grid))
+			}
+		}
+	}
+	return cfgs
+}()
+
+// hasGrid reports whether cfgs holds a config for the rate grid.
+func hasGrid(cfgs []changepoint.Config, rates []float64) bool {
+	return slices.ContainsFunc(cfgs, func(c changepoint.Config) bool { return slices.Equal(c.Rates, rates) })
+}
+
 // thresholdsFor returns (characterising on first use) the detection
 // thresholds for a rate grid under the paper's default detector settings.
+// A miss on an application grid characterises every application grid the
+// cache lacks in the same pass; any other grid is characterised alone.
 func thresholdsFor(rates []float64) (*changepoint.Thresholds, changepoint.Config, error) {
 	cfg := changepoint.DefaultConfig(rates)
-	th, err := thresholdCache.Load().Characterise(cfg)
+	var with []changepoint.Config
+	if hasGrid(appGridConfigs, rates) {
+		with = appGridConfigs
+	}
+	th, err := thresholdCache.Load().Characterise(cfg, with...)
 	return th, cfg, err
 }
 

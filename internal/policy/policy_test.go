@@ -88,11 +88,11 @@ func newChangePointEstimator(t *testing.T, initial float64) *ChangePoint {
 	t.Helper()
 	cfg := changepoint.DefaultConfig([]float64{10, 20, 40, 60})
 	cfg.CharacterisationWindows = 800
-	th, err := changepoint.Characterise(cfg)
+	ths, err := changepoint.Characterise(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := changepoint.NewDetector(cfg, th, initial)
+	det, err := changepoint.NewDetector(cfg, ths[0], initial)
 	if err != nil {
 		t.Fatal(err)
 	}

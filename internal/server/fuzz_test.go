@@ -36,6 +36,38 @@ func FuzzDecodeFleetRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeRunRequest drives arbitrary bytes through the /v1/run body
+// pipeline — strict decode, then parseRunConfig — and requires every
+// accepted body to lower to a one-badge, one-worker batch whose canonical
+// Hash (the dedup scope) succeeds.
+func FuzzDecodeRunRequest(f *testing.F) {
+	f.Add([]byte(`{"app":"mp3","policy":"changepoint","dpm":"renewal","seed":7}`))
+	f.Add([]byte(`{"seed":0}`))
+	f.Add([]byte(`{"app":"mixed","policy":"expavg","dpm":"none","seed":18446744073709551615,"timeout_ms":5}`))
+	f.Add([]byte(`{"app":"nosuch"}`))
+	f.Add([]byte(`{"policy":"MAX","dpm":""}`))
+	f.Add([]byte(`{"seed":1,"timeout_ms":-1}`))
+	f.Add([]byte(`{"seed":1,"badges":3}`))
+	f.Add([]byte(`{`))
+	s := New(Config{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req RunRequest
+		if err := decodeBytes(data, &req); err != nil {
+			return // malformed JSON is rejected, not crashed on
+		}
+		cfg, err := s.parseRunConfig(req)
+		if err != nil {
+			return // invalid configs are rejected, not crashed on
+		}
+		if cfg.Badges != 1 || cfg.Workers != 1 {
+			t.Fatalf("accepted body lowered to %d badges on %d workers, want 1 and 1", cfg.Badges, cfg.Workers)
+		}
+		if _, err := cfg.Hash(); err != nil {
+			t.Fatalf("validated config failed to hash (idempotency scope would 500): %v", err)
+		}
+	})
+}
+
 // FuzzDecodeThresholdsRequest drives arbitrary bytes through the
 // /v1/thresholds body pipeline — strict decode, then parseThresholdsConfig —
 // and requires every accepted config to validate and to stay within the

@@ -278,6 +278,28 @@ func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
 	return cfg, nil
 }
 
+// parseRunConfig validates a RunRequest and lowers it to a fleet.Config. A
+// single badge is a one-element batch pinned to every axis, so /v1/run
+// shares the fleet engine — and its cancellation points — wholesale.
+func (s *Server) parseRunConfig(req RunRequest) (fleet.Config, error) {
+	freq := FleetRequest{
+		Badges:    1,
+		Seed:      req.Seed,
+		Workers:   1,
+		TimeoutMS: req.TimeoutMS,
+	}
+	if req.App != "" {
+		freq.Apps = []string{req.App}
+	}
+	if req.Policy != "" {
+		freq.Policies = []string{req.Policy}
+	}
+	if req.DPM != "" {
+		freq.DPMs = []string{req.DPM}
+	}
+	return s.parseFleetConfig(freq)
+}
+
 // maxThresholdsWork caps the worst-case characterisation work of one
 // /v1/thresholds request, counted in simulated samples: n(n−1) rate pairs ×
 // characterisation windows × window size. It is 12× an 8-rate grid at the
@@ -440,24 +462,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// A single badge is a one-element batch pinned to every axis, so /v1/run
-	// shares the fleet engine — and its cancellation points — wholesale.
-	freq := FleetRequest{
-		Badges:    1,
-		Seed:      req.Seed,
-		Workers:   1,
-		TimeoutMS: req.TimeoutMS,
-	}
-	if req.App != "" {
-		freq.Apps = []string{req.App}
-	}
-	if req.Policy != "" {
-		freq.Policies = []string{req.Policy}
-	}
-	if req.DPM != "" {
-		freq.DPMs = []string{req.DPM}
-	}
-	cfg, err := s.parseFleetConfig(freq)
+	cfg, err := s.parseRunConfig(req)
 	if err != nil {
 		s.rRun.failures.Inc()
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -219,7 +219,8 @@ func New(cfg Config) *Server {
 		},
 		runFleet: fleet.RunCtx,
 	}
-	s.characterise = cache.Characterise
+	// /v1/thresholds characterises a request's grid alone.
+	s.characterise = func(cfg changepoint.Config) (*changepoint.Thresholds, error) { return cache.Characterise(cfg) }
 	s.mux.HandleFunc("/v1/fleet", s.handleFleet)
 	s.mux.HandleFunc("/v1/run", s.handleRun)
 	s.mux.HandleFunc("/v1/thresholds", s.handleThresholds)

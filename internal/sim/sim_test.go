@@ -749,11 +749,11 @@ func TestChangePointPolicyEndToEnd(t *testing.T) {
 		t.Helper()
 		cpCfg := changepoint.DefaultConfig(rates)
 		cpCfg.CharacterisationWindows = 600
-		th, err := changepoint.Characterise(cpCfg)
+		ths, err := changepoint.Characterise(cpCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		det, err := changepoint.NewDetector(cpCfg, th, initial)
+		det, err := changepoint.NewDetector(cpCfg, ths[0], initial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,6 +112,13 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(1-u) / rate
 }
 
+// UnitExp returns a unit-rate exponential sample, Exp(1) bit for bit: the
+// same draw without the rate check and the division by 1 (x/1 == x), for
+// loops that draw millions of them.
+func (r *RNG) UnitExp() float64 {
+	return -math.Log(1 - r.Float64())
+}
+
 // Pareto returns a Pareto(scale, shape) sample: x >= scale with
 // P(X > x) = (scale/x)^shape. It panics if scale <= 0 or shape <= 0.
 func (r *RNG) Pareto(scale, shape float64) float64 {

@@ -86,6 +86,17 @@ func TestExpSampleMoments(t *testing.T) {
 	}
 }
 
+// TestUnitExpIsExpOne pins UnitExp to Exp(1) bit for bit: the change-point
+// characterisation draws with one and its oracle with the other.
+func TestUnitExpIsExpOne(t *testing.T) {
+	a, b := NewRNG(9), NewRNG(9)
+	for i := 0; i < 100000; i++ {
+		if x, y := a.UnitExp(), b.Exp(1); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("draw %d: UnitExp %v, Exp(1) %v", i, x, y)
+		}
+	}
+}
+
 func TestParetoSampleAboveScale(t *testing.T) {
 	r := NewRNG(9)
 	for i := 0; i < 10000; i++ {

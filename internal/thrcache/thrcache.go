@@ -40,6 +40,19 @@
 // flight): the first caller characterises, the rest block and receive the
 // same table.
 //
+// # Companions
+//
+// Characterise(cfg, with...) names configs worth characterising alongside
+// cfg. A hit on cfg looks up cfg's key alone and ignores them. A miss claims
+// every companion that is neither in memory nor in flight under the same
+// lock as cfg, loads each claimed key from disk where it can, and
+// characterises the rest with cfg in one changepoint.Characterise call,
+// which draws each null window once for every config that shares the seed,
+// window size and window count. Each table is stored under its own key and
+// counted as its own Miss or DiskHit; cfg is inserted last. Companions
+// already cached are never recomputed, and companions in flight elsewhere
+// are not waited on.
+//
 // # Determinism
 //
 // Characterise is bit-deterministic for a fixed Config and the entry format
@@ -73,9 +86,12 @@ import (
 )
 
 // FormatVersion is baked into both the key derivation and the on-disk entry.
-// Bump it whenever the characterisation algorithm, the RNG stream layout or
-// the entry format changes meaning: old entries then miss (key side) or are
-// rejected (entry side) instead of silently serving stale thresholds.
+// Bump it whenever the thresholds a config characterises to change (a new
+// statistic, RNG stream layout or quantile rule) or the entry format changes
+// meaning: old entries then miss (key side) or are rejected (entry side)
+// instead of silently serving stale thresholds. A change to how the
+// characterisation computes bit-identical thresholds, such as sharing null
+// windows across grids, keeps the version.
 const FormatVersion = 1
 
 // DefaultMaxEntries bounds the in-memory LRU when the caller passes 0.
@@ -102,6 +118,10 @@ type Cache struct {
 	fs         fsfault.FS
 	dir        string // "" = memory-only
 	maxEntries int
+
+	// characterise is changepoint.Characterise; tests replace it to gate or
+	// fail a fill.
+	characterise func(cfgs ...changepoint.Config) ([]*changepoint.Thresholds, error)
 
 	mu       sync.Mutex
 	entries  map[string]*list.Element // key -> LRU element holding *memEntry
@@ -135,12 +155,13 @@ func NewFS(fs fsfault.FS, dir string, maxEntries int) (*Cache, error) {
 		maxEntries = DefaultMaxEntries
 	}
 	c := &Cache{
-		fs:         fs,
-		dir:        dir,
-		maxEntries: maxEntries,
-		entries:    make(map[string]*list.Element),
-		order:      list.New(),
-		inflight:   make(map[string]*flight),
+		fs:           fs,
+		dir:          dir,
+		maxEntries:   maxEntries,
+		characterise: changepoint.Characterise,
+		entries:      make(map[string]*list.Element),
+		order:        list.New(),
+		inflight:     make(map[string]*flight),
 	}
 	if dir != "" {
 		if err := fs.MkdirAll(dir, 0o755); err != nil {
@@ -236,8 +257,10 @@ func Key(cfg changepoint.Config) (string, error) {
 // Characterise returns the threshold table for cfg, from cache when
 // possible. The returned *Thresholds is shared and must be treated as
 // read-only (its API is). Hits are bit-identical to a fresh
-// changepoint.Characterise(cfg).
-func (c *Cache) Characterise(cfg changepoint.Config) (*changepoint.Thresholds, error) {
+// changepoint.Characterise(cfg). A hit looks up cfg alone; a miss also fills
+// the with configs the cache lacks (see Companions in the package comment).
+// Companions that do not validate are skipped, and duplicates are dropped.
+func (c *Cache) Characterise(cfg changepoint.Config, with ...changepoint.Config) (*changepoint.Thresholds, error) {
 	key, err := Key(cfg)
 	if err != nil {
 		return nil, err
@@ -258,46 +281,92 @@ func (c *Cache) Characterise(cfg changepoint.Config) (*changepoint.Thresholds, e
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
+	var claims []claim
+	for _, w := range with {
+		k, err := Key(w)
+		if err != nil {
+			continue
+		}
+		_, cached := c.entries[k]
+		if _, busy := c.inflight[k]; cached || busy {
+			continue
+		}
+		wf := &flight{done: make(chan struct{})}
+		c.inflight[k] = wf
+		claims = append(claims, claim{key: k, cfg: w, fl: wf})
+	}
+	// cfg goes last, so it is inserted last and survives a small LRU.
+	claims = append(claims, claim{key: key, cfg: cfg, fl: fl})
 	c.mu.Unlock()
 
-	th, fromDisk, rejected, err := c.fill(key, cfg)
+	c.fill(claims)
+	return fl.th, fl.err
+}
+
+// claim is one key a fill resolves: the caller's own or a companion's.
+type claim struct {
+	key      string
+	cfg      changepoint.Config
+	fl       *flight
+	fromDisk bool
+}
+
+// fill resolves claimed keys outside the cache lock (this is the slow path
+// the single flight protects): each from disk where a valid entry exists,
+// the rest in one characterisation with a best-effort store. It then
+// publishes every result, in claim order, and releases every waiter; an
+// error reaches every claim that was characterised.
+func (c *Cache) fill(claims []claim) {
+	var (
+		rejected uint64
+		todo     []*claim
+		cfgs     []changepoint.Config
+	)
+	for i := range claims {
+		cl := &claims[i]
+		if c.dir != "" {
+			th, ok, rej := c.load(cl.key)
+			rejected += rej
+			if ok {
+				cl.fl.th, cl.fromDisk = th, true
+				continue
+			}
+		}
+		todo = append(todo, cl)
+		cfgs = append(cfgs, cl.cfg)
+	}
+	if len(todo) > 0 {
+		ths, err := c.characterise(cfgs...)
+		for i, cl := range todo {
+			if err != nil {
+				cl.fl.err = err
+				continue
+			}
+			cl.fl.th = ths[i]
+			if c.dir != "" {
+				c.store(cl.key, ths[i]) // best-effort; see package comment
+			}
+		}
+	}
 
 	c.mu.Lock()
-	delete(c.inflight, key)
 	c.stats.Rejected += rejected
-	if err == nil {
-		if fromDisk {
+	for _, cl := range claims {
+		delete(c.inflight, cl.key)
+		if cl.fl.err != nil {
+			continue
+		}
+		if cl.fromDisk {
 			c.stats.DiskHits++
 		} else {
 			c.stats.Misses++
 		}
-		c.insertLocked(key, th)
+		c.insertLocked(cl.key, cl.fl.th)
 	}
 	c.mu.Unlock()
-
-	fl.th, fl.err = th, err
-	close(fl.done)
-	return th, err
-}
-
-// fill resolves a memory miss: disk load, else fresh characterisation plus a
-// best-effort store. Runs outside the cache lock (this is the slow path the
-// single-flight protects).
-func (c *Cache) fill(key string, cfg changepoint.Config) (th *changepoint.Thresholds, fromDisk bool, rejected uint64, err error) {
-	if c.dir != "" {
-		var ok bool
-		if th, ok, rejected = c.load(key); ok {
-			return th, true, rejected, nil
-		}
+	for _, cl := range claims {
+		close(cl.fl.done)
 	}
-	th, err = changepoint.Characterise(cfg)
-	if err != nil {
-		return nil, false, rejected, err
-	}
-	if c.dir != "" {
-		c.store(key, th) // best-effort; see package comment
-	}
-	return th, false, rejected, nil
 }
 
 // insertLocked adds the entry to the LRU, evicting from the back past

@@ -41,7 +41,7 @@ func TestHitsAreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Snapshot()
+	want := fresh[0].Snapshot()
 
 	dir := t.TempDir()
 	c1, err := New(dir, 0)
@@ -94,7 +94,7 @@ func TestCorruptEntriesRejectedAndRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Snapshot()
+	want := fresh[0].Snapshot()
 
 	seed := t.TempDir()
 	cs, err := New(seed, 0)
@@ -360,7 +360,7 @@ func TestStoreFailureDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unwritable store surfaced an error: %v", err)
 	}
-	if !reflect.DeepEqual(th.Snapshot(), fresh.Snapshot()) {
+	if !reflect.DeepEqual(th.Snapshot(), fresh[0].Snapshot()) {
 		t.Error("thresholds differ under store failure")
 	}
 }
