@@ -825,7 +825,7 @@ func benchWarmMem(b *testing.B) {
 func benchWarmDisk(b *testing.B) {
 	cfg := benchCacheConfig(b)
 	dir := b.TempDir()
-	seedCache, err := thrcache.New(dir, 0)
+	seedCache, err := thrcache.New(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -834,7 +834,7 @@ func benchWarmDisk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := thrcache.New(dir, 0)
+		c, err := thrcache.New(dir)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,6 +73,27 @@ import (
 	"smartbadge/internal/stats"
 )
 
+// minWindow is the smallest number of buffered samples at which checks run.
+// After a detection the pre-change samples are discarded, so the window is
+// short for a while; evaluating the statistic on n < m samples against the
+// m-sample threshold is conservative (the null statistic over a suffix subset
+// is stochastically smaller), and it is what lets the detector settle within
+// ~10 frames as in Figure 10 instead of waiting for a full window to refill.
+// Config.Validate keeps WindowSize at or above it. A CheckInterval above it
+// makes it inert: after the window is cleared, the first evaluation cannot
+// happen before CheckInterval samples have accumulated anyway.
+const minWindow = 10
+
+// refineAfter schedules refinement passes every refineAfter samples
+// following a detection, until WindowSize post-change samples have
+// accumulated: the mean of the samples observed since the detection is
+// re-snapped to the rate grid and adopted when it disagrees with the current
+// rate. Detection fires on ~10 post-change samples, which is enough to
+// notice *that* the rate changed but noisy for picking *which* neighbouring
+// grid rate it changed to; refinement corrects an off-by-one grid pick
+// without waiting for the slow threshold crossing between adjacent rates.
+const refineAfter = 20
+
 // Config parameterises both characterisation and on-line detection.
 type Config struct {
 	// Rates is the predefined candidate rate set Λ (events/second).
@@ -84,29 +105,6 @@ type Config struct {
 	// evaluations (the paper's "check every k points"). 1 checks on every
 	// sample.
 	CheckInterval int
-	// MinWindow is the smallest number of buffered samples at which checks
-	// run. After a detection the pre-change samples are discarded, so the
-	// window is short for a while; evaluating the statistic on n < m samples
-	// against the m-sample threshold is conservative (the null statistic over
-	// a suffix subset is stochastically smaller), and it is what lets the
-	// detector settle within ~10 frames as in Figure 10 instead of waiting
-	// for a full window to refill.
-	//
-	// MinWindow < CheckInterval is allowed but inert: after the window is
-	// cleared, the first evaluation cannot happen before CheckInterval
-	// samples have accumulated anyway, so the effective minimum is
-	// max(MinWindow, CheckInterval).
-	MinWindow int
-	// RefineAfter schedules refinement passes every RefineAfter samples
-	// following a detection, until WindowSize post-change samples have
-	// accumulated: the mean of the samples observed since the detection is
-	// re-snapped to the rate grid and adopted when it disagrees with the
-	// current rate. Detection fires on ~10 post-change samples, which is
-	// enough to notice *that* the rate changed but noisy for picking *which*
-	// neighbouring grid rate it changed to; refinement corrects an
-	// off-by-one grid pick without waiting for the slow threshold crossing
-	// between adjacent rates. 0 disables refinement.
-	RefineAfter int
 	// Confidence is the characterisation quantile (paper: 0.995).
 	Confidence float64
 	// CharacterisationWindows is the number of null windows simulated per
@@ -134,8 +132,6 @@ func DefaultConfig(rates []float64) Config {
 		Rates:                   rates,
 		WindowSize:              100,
 		CheckInterval:           5,
-		MinWindow:               10,
-		RefineAfter:             20,
 		Confidence:              0.995,
 		CharacterisationWindows: 4000,
 		Seed:                    0x5eed,
@@ -162,8 +158,8 @@ func (c Config) Validate() error {
 	if math.IsInf(hi/lo, 1) {
 		return fmt.Errorf("changepoint: rate ratio %v/%v overflows", hi, lo)
 	}
-	if c.WindowSize < 10 {
-		return fmt.Errorf("changepoint: window size %d too small (need >= 10)", c.WindowSize)
+	if c.WindowSize < minWindow {
+		return fmt.Errorf("changepoint: window size %d too small (need >= %d)", c.WindowSize, minWindow)
 	}
 	if c.CheckInterval < 1 {
 		return fmt.Errorf("changepoint: check interval must be >= 1, got %d", c.CheckInterval)
@@ -174,12 +170,6 @@ func (c Config) Validate() error {
 		// statistic, silently blinding the detector.
 		return fmt.Errorf("changepoint: check interval %d exceeds window size %d (samples would be evicted unevaluated)",
 			c.CheckInterval, c.WindowSize)
-	}
-	if c.MinWindow < 2 || c.MinWindow > c.WindowSize {
-		return fmt.Errorf("changepoint: min window %d must be in [2, %d]", c.MinWindow, c.WindowSize)
-	}
-	if c.RefineAfter < 0 {
-		return fmt.Errorf("changepoint: refine-after must be non-negative, got %d", c.RefineAfter)
 	}
 	if !(c.Confidence > 0.5 && c.Confidence < 1) {
 		return fmt.Errorf("changepoint: confidence must be in (0.5, 1), got %v", c.Confidence)
@@ -658,7 +648,7 @@ type Detection struct {
 	Statistic, Threshold float64
 	// MLERate is the maximum-likelihood rate of the post-change suffix.
 	MLERate float64
-	// Refined marks a refinement correction (see Config.RefineAfter) rather
+	// Refined marks a refinement correction (see refineAfter) rather
 	// than a fresh threshold crossing.
 	Refined bool
 }
@@ -911,8 +901,8 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 	d.pushScreen(pre)
 	d.observed++
 	d.sinceCheck++
-	// Refinement after a recent detection (see Config.RefineAfter): every
-	// RefineAfter samples, re-estimate the rate over the samples observed
+	// Refinement after a recent detection (see refineAfter): every
+	// refineAfter samples, re-estimate the rate over the samples observed
 	// since the detection (a clean post-change suffix — anything older may
 	// predate the change, since the detection's change-point estimate is
 	// imprecise) and adopt the grid snap if it disagrees. The suffix grows
@@ -922,7 +912,7 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 		d.sinceDetect++
 		if d.sinceDetect >= d.window.Cap() {
 			d.sinceDetect = -1
-		} else if d.cfg.RefineAfter > 0 && d.sinceDetect%d.cfg.RefineAfter == 0 {
+		} else if d.sinceDetect%refineAfter == 0 {
 			n := d.sinceDetect
 			if l := d.window.Len(); l < n {
 				n = l
@@ -969,7 +959,7 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 // checkDue reports whether the statistic is evaluated on this sample and,
 // when it is, restarts the check cadence.
 func (d *Detector) checkDue() bool {
-	if d.window.Len() < d.cfg.MinWindow || d.sinceCheck < d.cfg.CheckInterval {
+	if d.window.Len() < minWindow || d.sinceCheck < d.cfg.CheckInterval {
 		return false
 	}
 	d.sinceCheck = 0
@@ -1040,9 +1030,7 @@ func (d *Detector) adopt(best Detection) Detection {
 		d.window.Push(v)
 	}
 	d.rebuildScreen()
-	if d.cfg.RefineAfter > 0 {
-		d.sinceDetect = 0
-	}
+	d.sinceDetect = 0
 	d.observeDetection(best)
 	return best
 }

@@ -34,8 +34,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Rates = []float64{10, 10} },
 		func(c *Config) { c.WindowSize = 5 },
 		func(c *Config) { c.CheckInterval = 0 },
-		func(c *Config) { c.MinWindow = 1 },
-		func(c *Config) { c.MinWindow = c.WindowSize + 1 },
+		func(c *Config) { c.WindowSize = minWindow - 1 },
 		func(c *Config) { c.Confidence = 0.4 },
 		func(c *Config) { c.Confidence = 1.0 },
 		func(c *Config) { c.CharacterisationWindows = 10 },
@@ -353,11 +352,11 @@ func TestDetectorNoCheckBeforeMinWindow(t *testing.T) {
 	th := mustThresholds(t, cfg)
 	d, _ := NewDetector(cfg, th, 10)
 	rng := stats.NewRNG(8)
-	// Fewer than MinWindow samples, even at a wildly different rate,
+	// Fewer than minWindow samples, even at a wildly different rate,
 	// must not trigger a check.
-	for i := 0; i < cfg.MinWindow-1; i++ {
+	for i := 0; i < minWindow-1; i++ {
 		if _, ok := d.Observe(rng.Exp(60)); ok {
-			t.Fatalf("detection before MinWindow at sample %d", i)
+			t.Fatalf("detection before minWindow at sample %d", i)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 func TestRefineAdoptsAndTrimsWindow(t *testing.T) {
 	cfg := testConfig()
 	cfg.CheckInterval = cfg.WindowSize // suppress threshold checks entirely
-	cfg.RefineAfter = 10
 	th := mustThresholds(t, cfg)
 	d, err := NewDetector(cfg, th, 20)
 	if err != nil {
@@ -36,18 +35,18 @@ func TestRefineAdoptsAndTrimsWindow(t *testing.T) {
 	}
 	d.sinceDetect = 0
 
-	// Ten post-"detection" samples at rate 60. The refinement pass on the
-	// tenth must re-snap to 60 from the clean suffix alone.
+	// refineAfter post-"detection" samples at rate 60. The refinement pass
+	// on the last of them must re-snap to 60 from the clean suffix alone.
 	var det Detection
 	var fired bool
-	for i := 0; i < 10; i++ {
+	for i := 0; i < refineAfter; i++ {
 		det, fired = d.Observe(1.0 / 60)
-		if fired && i < 9 {
+		if fired && i < refineAfter-1 {
 			t.Fatalf("refinement fired early, on sample %d", i+1)
 		}
 	}
 	if !fired {
-		t.Fatal("refinement did not fire on the 10th post-detection sample")
+		t.Fatalf("refinement did not fire on post-detection sample %d", refineAfter)
 	}
 	if !det.Refined || det.OldRate != 20 || det.NewRate != 60 {
 		t.Fatalf("detection = %+v, want refined 20 -> 60", det)
@@ -59,10 +58,10 @@ func TestRefineAdoptsAndTrimsWindow(t *testing.T) {
 		t.Errorf("current rate = %v, want 60", got)
 	}
 
-	// The fix: only the 10 post-detection samples survive, and the check
+	// The fix: only the post-detection samples survive, and the check
 	// cadence restarts.
-	if got := d.window.Len(); got != 10 {
-		t.Errorf("window length after refinement = %d, want 10 (pre-change samples must be trimmed)", got)
+	if got := d.window.Len(); got != refineAfter {
+		t.Errorf("window length after refinement = %d, want %d (pre-change samples must be trimmed)", got, refineAfter)
 	}
 	for i, v := range d.window.Values() {
 		if v != 1.0/60 {
@@ -124,28 +123,27 @@ func TestDetectorTwoStepRateChange(t *testing.T) {
 
 // TestValidateCheckIntervalWindowRelation pins down the Validate rules tied
 // to the check cadence: a check interval beyond the window size would evict
-// samples unevaluated and is rejected; MinWindow below the check interval is
-// allowed (it is inert — the effective minimum is max(MinWindow,
-// CheckInterval), see the Config docs).
+// samples unevaluated and is rejected; a check interval above minWindow is
+// allowed (minWindow is then inert, see its docs), and so is the smallest
+// window, which equals minWindow.
 func TestValidateCheckIntervalWindowRelation(t *testing.T) {
 	cases := []struct {
-		name                  string
-		check, window, minWin int
-		ok                    bool
+		name          string
+		check, window int
+		ok            bool
 	}{
-		{"paper defaults", 5, 100, 10, true},
-		{"check equals window", 100, 100, 10, true},
-		{"check exceeds window", 101, 100, 10, false},
-		{"check far beyond window", 500, 100, 10, false},
-		{"min window below check interval (inert, allowed)", 20, 100, 10, true},
-		{"min window equals window size", 10, 100, 100, true},
+		{"paper defaults", 5, 100, true},
+		{"check equals window", 100, 100, true},
+		{"check exceeds window", 101, 100, false},
+		{"check far beyond window", 500, 100, false},
+		{"min window below check interval (inert, allowed)", 20, 100, true},
+		{"min window equals window size", 5, minWindow, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.CheckInterval = c.check
 			cfg.WindowSize = c.window
-			cfg.MinWindow = c.minWin
 			err := cfg.Validate()
 			if c.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)

@@ -167,13 +167,12 @@ func Open(dir, configHash string, records int, opts Options) (*Store, error) {
 }
 
 // checkManifest verifies an existing manifest against this run or
-// publishes a fresh one atomically. A corrupt manifest next to an existing
-// journal is refused (the journal's provenance cannot be established); a
+// publishes a fresh one atomically. A journal whose manifest is missing or
+// corrupt is refused (its provenance cannot be established); a missing or
 // corrupt manifest alone is overwritten.
 func (s *Store) checkManifest(configHash string, records int) error {
 	path := filepath.Join(s.dir, manifestName)
-	data, err := s.fs.ReadFile(path)
-	if err == nil {
+	if data, err := s.fs.ReadFile(path); err == nil {
 		var m manifest
 		if jerr := json.Unmarshal(data, &m); jerr == nil {
 			switch {
@@ -186,11 +185,11 @@ func (s *Store) checkManifest(configHash string, records int) error {
 			}
 			return nil
 		}
-		if s.journalExists() {
-			return fmt.Errorf("%w: manifest is corrupt but a journal exists; refusing to guess its provenance", ErrResumeMismatch)
-		}
-		// Corrupt manifest, no journal: the crash window between manifest
-		// temp-write and rename — safe to start over.
+	}
+	// No usable manifest. Without a journal this is a fresh start, or the
+	// crash window between the manifest's temp-write and its rename.
+	if s.journalExists() {
+		return fmt.Errorf("%w: manifest is missing or corrupt but a journal exists; refusing to guess its provenance", ErrResumeMismatch)
 	}
 	payload, err := json.Marshal(manifest{Version: FormatVersion, ConfigHash: configHash, Records: records})
 	if err != nil {

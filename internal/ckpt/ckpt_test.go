@@ -104,7 +104,8 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // TestResumeMismatchRefused: a different config hash, record count or
-// format version must refuse to resume.
+// format version must refuse to resume, and so must a journal whose
+// manifest is corrupt or missing.
 func TestResumeMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, "cafe", 4, ckpt.Options{})
@@ -131,6 +132,14 @@ func TestResumeMismatchRefused(t *testing.T) {
 	}
 	if _, err := ckpt.Open(dir, "cafe", 4, ckpt.Options{}); !errors.Is(err, ckpt.ErrResumeMismatch) {
 		t.Errorf("corrupt manifest with journal: err = %v, want ErrResumeMismatch", err)
+	}
+	// Missing manifest next to an existing journal: another run must not
+	// adopt the journal's records as its own.
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Open(dir, "d00d", 4, ckpt.Options{}); !errors.Is(err, ckpt.ErrResumeMismatch) {
+		t.Errorf("missing manifest with journal: err = %v, want ErrResumeMismatch", err)
 	}
 }
 

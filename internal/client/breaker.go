@@ -23,12 +23,14 @@ import (
 	"smartbadge/internal/stats"
 )
 
-// Breaker defaults for Config fields left zero. The threshold sits above
-// DefaultMaxAttempts so one exhausted call cannot trip the breaker by
-// itself — it takes sustained failure across calls.
+// The breaker's tuning. breakerThreshold consecutive transport failures
+// open it; it sits above DefaultMaxAttempts so one exhausted call cannot
+// trip the breaker by itself — it takes sustained failure across calls.
+// An open breaker admits a half-open probe after breakerCooldown plus
+// seeded jitter.
 const (
-	DefaultBreakerThreshold = 8
-	DefaultBreakerCooldown  = 2 * time.Second
+	breakerThreshold = 8
+	breakerCooldown  = 2 * time.Second
 )
 
 // BreakerOpenError is a fast-fail: the breaker is open and no dial was
@@ -53,19 +55,17 @@ const (
 // breaker tracks consecutive transport failures. All methods are
 // mutex-guarded and do no blocking work under the lock.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	rng       *stats.RNG
-	now       func() time.Time // seam for tests; time.Now in production
+	mu  sync.Mutex
+	rng *stats.RNG
+	now func() time.Time // seam for tests; time.Now in production
 
 	state    breakerState
 	failures int       // consecutive transport failures
 	reopenAt time.Time // when open admits its half-open probe
 }
 
-func newBreaker(threshold int, cooldown time.Duration, rng *stats.RNG) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, rng: rng, now: time.Now}
+func newBreaker(rng *stats.RNG) *breaker {
+	return &breaker{rng: rng, now: time.Now}
 }
 
 // allow reports whether a dial may proceed. In the open state it either
@@ -105,12 +105,12 @@ func (b *breaker) onTransportFailure() bool {
 	defer b.mu.Unlock()
 	b.failures++
 	tripping := b.state == breakerHalfOpen ||
-		(b.state == breakerClosed && b.failures >= b.threshold)
+		(b.state == breakerClosed && b.failures >= breakerThreshold)
 	if tripping {
 		b.state = breakerOpen
 		// Jitter the reopen in [cooldown, 1.5*cooldown) so clients sharing
 		// a config (but not a seed) don't probe in lockstep.
-		b.reopenAt = b.now().Add(b.cooldown + time.Duration(b.rng.Float64()*float64(b.cooldown/2)))
+		b.reopenAt = b.now().Add(breakerCooldown + time.Duration(b.rng.Float64()*float64(breakerCooldown/2)))
 	}
 	return tripping
 }

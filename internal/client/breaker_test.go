@@ -14,25 +14,36 @@ type fakeClock struct{ at time.Time }
 func (f *fakeClock) now() time.Time          { return f.at }
 func (f *fakeClock) advance(d time.Duration) { f.at = f.at.Add(d) }
 
-func newTestBreaker(threshold int, cooldown time.Duration, seed uint64) (*breaker, *fakeClock) {
+func newTestBreaker(seed uint64) (*breaker, *fakeClock) {
 	clk := &fakeClock{at: time.Unix(1000, 0)}
-	b := newBreaker(threshold, cooldown, stats.NewRNG(seed))
+	b := newBreaker(stats.NewRNG(seed))
 	b.now = clk.now
 	return b, clk
 }
 
+// trip opens a closed breaker with breakerThreshold transport failures.
+func trip(t *testing.T, b *breaker) {
+	t.Helper()
+	for i := 0; i < breakerThreshold; i++ {
+		b.onTransportFailure()
+	}
+	if b.state != breakerOpen {
+		t.Fatalf("%d failures left the breaker in state %d", breakerThreshold, b.state)
+	}
+}
+
 func TestBreakerOpensAtThreshold(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second, 1)
-	for i := 0; i < 2; i++ {
+	b, _ := newTestBreaker(1)
+	for i := 0; i < breakerThreshold-1; i++ {
 		if b.onTransportFailure() {
-			t.Fatalf("breaker tripped after %d failures, threshold is 3", i+1)
+			t.Fatalf("breaker tripped after %d failures, threshold is %d", i+1, breakerThreshold)
 		}
 		if err := b.allow(); err != nil {
 			t.Fatalf("breaker rejected while still closed: %v", err)
 		}
 	}
 	if !b.onTransportFailure() {
-		t.Fatal("third failure did not trip the breaker")
+		t.Fatalf("failure %d did not trip the breaker", breakerThreshold)
 	}
 	err := b.allow()
 	var boe *BreakerOpenError
@@ -45,25 +56,27 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 }
 
 func TestBreakerResponseResetsStreak(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second, 1)
-	b.onTransportFailure()
-	b.onTransportFailure()
+	b, _ := newTestBreaker(1)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.onTransportFailure()
+	}
 	b.onResponse() // any HTTP answer, even a 503, proves the wire works
-	b.onTransportFailure()
-	b.onTransportFailure()
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.onTransportFailure()
+	}
 	if b.state != breakerClosed {
 		t.Fatal("breaker opened although the failure streak was broken")
 	}
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second, 7)
-	b.onTransportFailure()
+	b, clk := newTestBreaker(7)
+	trip(t, b)
 	if err := b.allow(); err == nil {
 		t.Fatal("open breaker admitted a call before cooldown")
 	}
 	// Jitter keeps the reopen inside [cooldown, 1.5*cooldown).
-	clk.advance(1500 * time.Millisecond)
+	clk.advance(breakerCooldown * 3 / 2)
 	if err := b.allow(); err != nil {
 		t.Fatalf("cooldown elapsed but probe refused: %v", err)
 	}
@@ -79,19 +92,20 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second, 7)
-	b.onTransportFailure()
-	clk.advance(1500 * time.Millisecond)
+	b, clk := newTestBreaker(7)
+	trip(t, b)
+	clk.advance(breakerCooldown * 3 / 2)
 	if err := b.allow(); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
+	// One failed probe re-opens the breaker, without a fresh streak.
 	if !b.onTransportFailure() {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	if err := b.allow(); err == nil {
 		t.Fatal("breaker admitted a call right after a failed probe")
 	}
-	clk.advance(1500 * time.Millisecond)
+	clk.advance(breakerCooldown * 3 / 2)
 	if err := b.allow(); err != nil {
 		t.Fatalf("second probe window refused: %v", err)
 	}
@@ -101,8 +115,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 // jitter reproduces, and distinct seeds diverge.
 func TestBreakerJitterDeterministic(t *testing.T) {
 	reopen := func(seed uint64) time.Time {
-		b, _ := newTestBreaker(1, time.Second, seed)
-		b.onTransportFailure()
+		b, _ := newTestBreaker(seed)
+		trip(t, b)
 		return b.reopenAt
 	}
 	if !reopen(7).Equal(reopen(7)) {
@@ -115,7 +129,7 @@ func TestBreakerJitterDeterministic(t *testing.T) {
 	base := time.Unix(1000, 0)
 	for _, at := range []time.Time{lo, hi} {
 		d := at.Sub(base)
-		if d < time.Second || d >= 1500*time.Millisecond {
+		if d < breakerCooldown || d >= breakerCooldown*3/2 {
 			t.Fatalf("reopen delay %v outside [cooldown, 1.5*cooldown)", d)
 		}
 	}

@@ -47,15 +47,21 @@ import (
 	"smartbadge/internal/stats"
 )
 
-// Defaults for Config fields left zero.
+// DefaultMaxAttempts is the attempt bound for a Config.MaxAttempts left
+// zero.
+const DefaultMaxAttempts = 5
+
+// The retry schedule: the first retry's nominal delay is baseBackoff, and
+// the nominal delay doubles per retry up to maxBackoff. A server
+// Retry-After hint may exceed the cap; the server knows its queue better
+// than the cap does.
 const (
-	DefaultMaxAttempts = 5
-	DefaultBaseBackoff = 100 * time.Millisecond
-	DefaultMaxBackoff  = 5 * time.Second
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
 )
 
 // Config tunes a Client. The zero value (plus a BaseURL) retries with the
-// defaults above over http.DefaultClient's transport.
+// defaults over http.DefaultClient's transport.
 type Config struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8080". Required.
 	BaseURL string
@@ -64,26 +70,12 @@ type Config struct {
 	// MaxAttempts bounds total tries (first attempt included);
 	// <= 0 selects DefaultMaxAttempts.
 	MaxAttempts int
-	// BaseBackoff is the first retry's nominal delay; the nominal delay
-	// doubles per retry. <= 0 selects DefaultBaseBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the nominal delay growth; <= 0 selects
-	// DefaultMaxBackoff. A server Retry-After hint may exceed it — the
-	// server knows its queue better than the cap does.
-	MaxBackoff time.Duration
 	// Seed seeds the jitter stream, so a test (or a reproduced incident)
 	// sees the exact same retry schedule.
 	Seed uint64
 	// Sleep is the wait seam; nil selects a timer-backed wait. It must
 	// return early with ctx.Err() when ctx dies mid-wait.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// BreakerThreshold is how many consecutive transport failures open the
-	// circuit breaker; <= 0 selects DefaultBreakerThreshold.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before admitting
-	// a half-open probe (plus seeded jitter); <= 0 selects
-	// DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 }
 
 // Client retries requests against one dvsimd daemon. Safe for concurrent
@@ -197,18 +189,6 @@ func New(cfg Config) (*Client, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = DefaultBaseBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultMaxBackoff
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
 	h := cfg.HTTP
 	if h == nil {
 		h = &http.Client{}
@@ -216,8 +196,7 @@ func New(cfg Config) (*Client, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	// The breaker jitters its reopen from an independent substream so
 	// breaker activity never perturbs the backoff schedule.
-	c := &Client{cfg: cfg, http: h, rng: rng,
-		br: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, rng.Split())}
+	c := &Client{cfg: cfg, http: h, rng: rng, br: newBreaker(rng.Split())}
 	if c.cfg.Sleep == nil {
 		c.cfg.Sleep = sleepCtx
 	}
@@ -265,7 +244,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		idemKey = DeriveIdempotencyKey(method, path, body)
 	}
 	var lastErr error
-	backoff := c.cfg.BaseBackoff
+	backoff := baseBackoff
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("client: %s %s: %w (last attempt: %w)", method, path, err, cause(lastErr))
@@ -321,8 +300,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		if err := c.cfg.Sleep(ctx, delay); err != nil {
 			return nil, fmt.Errorf("client: %s %s: %w (last attempt: %w)", method, path, err, cause(lastErr))
 		}
-		if backoff *= 2; backoff > c.cfg.MaxBackoff {
-			backoff = c.cfg.MaxBackoff
+		if backoff *= 2; backoff > maxBackoff {
+			backoff = maxBackoff
 		}
 	}
 }

@@ -93,14 +93,13 @@ func TestRetriesShedThenSucceeds(t *testing.T) {
 
 // TestBackoffGrowsWithJitter pins the schedule shape against transport
 // errors (no Retry-After in play): nominal backoff doubles per retry,
-// capped, and each actual delay lands in [nominal/2, nominal).
+// capped at maxBackoff, and each actual delay lands in
+// [nominal/2, nominal).
 func TestBackoffGrowsWithJitter(t *testing.T) {
 	rec := &recordedSleep{}
 	c, err := New(Config{
 		BaseURL:     "http://127.0.0.1:1", // nothing listens on port 1
-		MaxAttempts: 4,
-		BaseBackoff: 100 * time.Millisecond,
-		MaxBackoff:  150 * time.Millisecond,
+		MaxAttempts: 8,
 		Seed:        7,
 		Sleep:       rec.sleep,
 	})
@@ -110,7 +109,8 @@ func TestBackoffGrowsWithJitter(t *testing.T) {
 	if _, err := c.Health(context.Background()); err == nil {
 		t.Fatal("dead endpoint succeeded")
 	}
-	nominal := []time.Duration{100 * time.Millisecond, 150 * time.Millisecond, 150 * time.Millisecond}
+	ms := time.Millisecond
+	nominal := []time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5000 * ms}
 	if len(rec.delays) != len(nominal) {
 		t.Fatalf("slept %v, want %d delays", rec.delays, len(nominal))
 	}
@@ -122,11 +122,7 @@ func TestBackoffGrowsWithJitter(t *testing.T) {
 
 	// Same seed, same schedule: the jitter is deterministic.
 	rec2 := &recordedSleep{}
-	c2, err := New(Config{
-		BaseURL: "http://127.0.0.1:1", MaxAttempts: 4,
-		BaseBackoff: 100 * time.Millisecond, MaxBackoff: 150 * time.Millisecond,
-		Seed: 7, Sleep: rec2.sleep,
-	})
+	c2, err := New(Config{BaseURL: "http://127.0.0.1:1", MaxAttempts: 8, Seed: 7, Sleep: rec2.sleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +280,8 @@ func TestRetryBudgetFailFast(t *testing.T) {
 
 // TestRetryBudgetDeterministicSchedule: with no Retry-After hint the
 // budget decision rides on the jittered backoff — which is seeded, so two
-// same-seed clients refuse the same wait.
+// same-seed clients refuse the same wait. The recorded sleeps return at
+// once, so the schedule climbs to the capped step inside the deadline.
 func TestRetryBudgetDeterministicSchedule(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTooManyRequests)
@@ -293,22 +290,24 @@ func TestRetryBudgetDeterministicSchedule(t *testing.T) {
 	run := func() time.Duration {
 		c, err := New(Config{
 			BaseURL:     ts.URL,
-			BaseBackoff: 10 * time.Second, // jitter lands in [5s, 10s)
+			MaxAttempts: 10,
 			Seed:        7,
 			Sleep:       (&recordedSleep{}).sleep,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		// Seed 7's delays stay under 1.7 s until the capped step, whose
+		// jitter lands in [2.5s, 5s).
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		_, err = c.Fleet(ctx, []byte(`{}`))
 		var rbe *RetryBudgetError
 		if !errors.As(err, &rbe) {
 			t.Fatalf("err = %v, want RetryBudgetError", err)
 		}
-		if rbe.Delay < 5*time.Second || rbe.Delay >= 10*time.Second {
-			t.Fatalf("refused delay %v outside the jitter window [5s, 10s)", rbe.Delay)
+		if rbe.Delay < maxBackoff/2 || rbe.Delay >= maxBackoff {
+			t.Fatalf("refused delay %v outside the capped jitter window [%v, %v)", rbe.Delay, maxBackoff/2, maxBackoff)
 		}
 		return rbe.Delay
 	}
@@ -365,22 +364,23 @@ func TestPostsCarryIdempotencyKey(t *testing.T) {
 func TestBreakerFastFailsWhenOpen(t *testing.T) {
 	rec := &recordedSleep{}
 	c, err := New(Config{
-		BaseURL:          "http://127.0.0.1:1", // nothing listens on port 1
-		MaxAttempts:      2,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // never half-opens inside the test
-		Seed:             7,
-		Sleep:            rec.sleep,
+		BaseURL:     "http://127.0.0.1:1", // nothing listens on port 1
+		MaxAttempts: 5,
+		Seed:        7,
+		Sleep:       rec.sleep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Call 1: two transport failures, streak 2 < 3, breaker stays closed.
+	// A stopped clock: the open breaker never reaches its half-open probe.
+	c.br.now = (&fakeClock{at: time.Unix(1000, 0)}).now
+	// Call 1: five transport failures, streak 5 < breakerThreshold, the
+	// breaker stays closed.
 	if _, err := c.Health(context.Background()); err == nil {
 		t.Fatal("dead endpoint succeeded")
 	}
-	// Call 2: third failure trips the breaker; the in-loop retry is then
-	// refused without dialing.
+	// Call 2: the eighth failure trips the breaker; the in-loop retry is
+	// then refused without dialing.
 	_, err = c.Health(context.Background())
 	var boe *BreakerOpenError
 	if !errors.As(err, &boe) {
@@ -392,15 +392,16 @@ func TestBreakerFastFailsWhenOpen(t *testing.T) {
 	if !errors.As(err, &boe) {
 		t.Fatalf("call while open = %v, want BreakerOpenError", err)
 	}
-	if boe.RetryIn <= 0 {
-		t.Errorf("RetryIn = %v, want positive", boe.RetryIn)
+	if boe.RetryIn < breakerCooldown {
+		t.Errorf("RetryIn = %v, want at least the %v cooldown", boe.RetryIn, breakerCooldown)
 	}
 	st := c.Stats()
 	if st.Attempts != attemptsSoFar {
 		t.Errorf("open breaker still dialed: attempts %d -> %d", attemptsSoFar, st.Attempts)
 	}
-	if st.Attempts != 3 || st.TransportFailures != 3 {
-		t.Errorf("attempts=%d transportFailures=%d, want 3 and 3", st.Attempts, st.TransportFailures)
+	if st.Attempts != breakerThreshold || st.TransportFailures != breakerThreshold {
+		t.Errorf("attempts=%d transportFailures=%d, want %d and %d",
+			st.Attempts, st.TransportFailures, breakerThreshold, breakerThreshold)
 	}
 	if st.BreakerOpens != 1 || st.BreakerFastFails != 2 {
 		t.Errorf("breakerOpens=%d fastFails=%d, want 1 and 2", st.BreakerOpens, st.BreakerFastFails)

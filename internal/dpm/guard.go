@@ -1,18 +1,17 @@
 package dpm
 
-import (
-	"fmt"
+import "smartbadge/internal/obs"
 
-	"smartbadge/internal/obs"
-)
-
-// Default Guard tuning, used by the resilience experiments: a WLAN outage
-// manifests as one idle period tens of times longer than the running mean
-// (frames stop arriving entirely), and ~256 idle-entry decisions cover the
-// catch-up burst that follows it at streaming frame rates.
+// The Guard's tuning: a WLAN outage manifests as one idle period tens of
+// times longer than the running mean (frames stop arriving entirely), and
+// 256 idle-entry decisions cover the catch-up burst that follows it at
+// streaming frame rates.
 const (
-	DefaultGuardSpikeFactor = 50.0
-	DefaultGuardHold        = 256
+	// guardSpikeFactor is how many times the running mean an idle period
+	// must exceed to make the statistics suspect.
+	guardSpikeFactor = 50.0
+	// guardHold is how many idle-entry decisions a suspicion vetoes.
+	guardHold = 256
 )
 
 // Guard wraps a Policy with a graceful-degradation veto. The renewal and
@@ -25,15 +24,14 @@ const (
 // has passed.
 //
 // Suspicion arises two ways: internally, when an observed idle period
-// exceeds spikeFactor times the running mean (with at least minGuardSamples
-// observations so early noise cannot trigger it); and externally, via
-// NoteSuspicion — the hook the overload watchdog (policy.OverloadGuard)
-// drives when it trips. Either way the next holdCount idle-entry decisions
-// return "stay awake", then the wrapped policy resumes untouched.
+// exceeds guardSpikeFactor times the running mean (with at least
+// minGuardSamples observations so early noise cannot trigger it); and
+// externally, via NoteSuspicion — the hook the overload watchdog
+// (policy.OverloadGuard) drives when it trips. Either way the next guardHold
+// idle-entry decisions return "stay awake", then the wrapped policy resumes
+// untouched.
 type Guard struct {
-	inner       Policy
-	spikeFactor float64
-	holdCount   int
+	inner Policy
 
 	meanS      float64
 	samples    int
@@ -50,20 +48,8 @@ type Guard struct {
 // spike detector may fire.
 const minGuardSamples = 16
 
-// NewGuard wraps inner with the sleep veto. spikeFactor must exceed 1 and
-// holdCount must be positive.
-func NewGuard(inner Policy, spikeFactor float64, holdCount int) (*Guard, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("dpm: guard needs a policy to wrap")
-	}
-	if spikeFactor <= 1 {
-		return nil, fmt.Errorf("dpm: guard spike factor must be > 1, got %v", spikeFactor)
-	}
-	if holdCount < 1 {
-		return nil, fmt.Errorf("dpm: guard hold count must be >= 1, got %d", holdCount)
-	}
-	return &Guard{inner: inner, spikeFactor: spikeFactor, holdCount: holdCount}, nil
-}
+// NewGuard wraps inner, which must be non-nil, with the sleep veto.
+func NewGuard(inner Policy) *Guard { return &Guard{inner: inner} }
 
 // Instrument attaches observability: every vetoed sleep decision is counted
 // and traced as "dpm_veto", every suspicion onset as "dpm_suspect". Events
@@ -81,7 +67,7 @@ func (g *Guard) Instrument(o *obs.Obs) {
 }
 
 // NoteSuspicion marks the idle statistics untrustworthy on an external signal
-// (the overload watchdog tripping): the next holdCount decisions are vetoed.
+// (the overload watchdog tripping): the next guardHold decisions are vetoed.
 // Safe on a nil receiver.
 func (g *Guard) NoteSuspicion() {
 	if g == nil {
@@ -91,7 +77,7 @@ func (g *Guard) NoteSuspicion() {
 }
 
 func (g *Guard) suspect(why string) {
-	g.hold = g.holdCount
+	g.hold = guardHold
 	g.suspicions++
 	g.cSuspect.Inc()
 	if g.tr != nil {
@@ -119,7 +105,7 @@ func (g *Guard) Decide(oracleIdle float64) Decision {
 // updated after the check so an outlier cannot hide itself.
 func (g *Guard) ObserveIdle(durationS float64) {
 	g.inner.ObserveIdle(durationS)
-	if g.samples >= minGuardSamples && durationS > g.spikeFactor*g.meanS {
+	if g.samples >= minGuardSamples && durationS > guardSpikeFactor*g.meanS {
 		g.suspect("idle spike")
 	}
 	g.samples++

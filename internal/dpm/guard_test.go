@@ -19,41 +19,23 @@ func (p *sleepyPolicy) Decide(float64) Decision {
 func (p *sleepyPolicy) ObserveIdle(float64) { p.observed++ }
 func (p *sleepyPolicy) Name() string        { return "sleepy" }
 
-func TestNewGuardValidation(t *testing.T) {
-	if _, err := NewGuard(nil, 50, 10); err == nil {
-		t.Error("nil inner policy accepted")
-	}
-	if _, err := NewGuard(AlwaysOn{}, 1, 10); err == nil {
-		t.Error("spike factor of 1 accepted")
-	}
-	if _, err := NewGuard(AlwaysOn{}, 50, 0); err == nil {
-		t.Error("zero hold count accepted")
-	}
-	if _, err := NewGuard(AlwaysOn{}, 50, 10); err != nil {
-		t.Errorf("valid guard rejected: %v", err)
-	}
-}
-
 func TestGuardVetoHold(t *testing.T) {
 	inner := &sleepyPolicy{}
-	g, err := NewGuard(inner, 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewGuard(inner)
 	if d := g.Decide(1); !d.Sleep {
 		t.Fatal("guard without suspicion overrode the inner policy")
 	}
 	g.NoteSuspicion()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < guardHold; i++ {
 		if d := g.Decide(1); d.Sleep {
 			t.Fatalf("decision %d after suspicion allowed sleep", i)
 		}
 	}
 	if d := g.Decide(1); !d.Sleep {
-		t.Error("hold did not expire after holdCount decisions")
+		t.Error("hold did not expire after guardHold decisions")
 	}
-	if g.Vetoes() != 3 || g.Suspicions() != 1 {
-		t.Errorf("vetoes = %d, suspicions = %d, want 3 and 1", g.Vetoes(), g.Suspicions())
+	if g.Vetoes() != 256 || g.Suspicions() != 1 {
+		t.Errorf("vetoes = %d, suspicions = %d, want 256 and 1", g.Vetoes(), g.Suspicions())
 	}
 	if g.Name() != "guarded(sleepy)" {
 		t.Errorf("name = %q", g.Name())
@@ -62,10 +44,7 @@ func TestGuardVetoHold(t *testing.T) {
 
 func TestGuardSpikeDetector(t *testing.T) {
 	inner := &sleepyPolicy{}
-	g, err := NewGuard(inner, 50, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewGuard(inner)
 	// Below the sample floor the detector must stay quiet even for a huge
 	// outlier (early noise).
 	g.ObserveIdle(1000)
@@ -90,10 +69,7 @@ func TestGuardSpikeDetector(t *testing.T) {
 }
 
 func TestGuardNormalIdleDoesNotTrip(t *testing.T) {
-	g, err := NewGuard(&sleepyPolicy{}, 50, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewGuard(&sleepyPolicy{})
 	// A well-behaved near-constant idle stream never looks suspect.
 	for i := 0; i < 1000; i++ {
 		g.ObserveIdle(0.04 + 0.02*float64(i%3))
@@ -115,10 +91,7 @@ func TestGuardNilReceiver(t *testing.T) {
 func TestGuardObservability(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.New(obs.NewRegistry(), obs.NewTracer(&buf))
-	g, err := NewGuard(&sleepyPolicy{}, 50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewGuard(&sleepyPolicy{})
 	g.Instrument(o)
 	g.NoteSuspicion()
 	g.Decide(1)

@@ -13,7 +13,6 @@ import (
 	"smartbadge/internal/sim"
 	"smartbadge/internal/stats"
 	"smartbadge/internal/units"
-	"smartbadge/internal/workload"
 )
 
 // ResilienceBufferCap bounds the frame buffer in the resilience experiments.
@@ -110,8 +109,7 @@ func ResilienceTable(ctx context.Context, seed uint64, workers int) ([]Resilienc
 	scenarios := append([]faults.Scenario{{Name: "none"}}, catalogue...)
 	configs := resilienceConfigs()
 	app := MixedApp()
-	badge := device.SmartBadge()
-	costs := dpm.CostsForBadge(badge, device.Standby)
+	costs := dpm.CostsForBadge(device.SmartBadge(), device.Standby)
 	idleModel := tr.IdleModel()
 	base := stats.NewRNG(seed)
 
@@ -127,13 +125,40 @@ func ResilienceTable(ctx context.Context, seed uint64, workers int) ([]Resilienc
 			}
 			ftr, derate, injected = inj.Trace, inj.Derate, inj.Report.Dropped
 		}
-		row, err := runResilienceCell(ftr, derate, app, cfg, idleModel, costs)
+		// The DPM policy is fitted to the fault-free idle model: the nominal
+		// conditions a deployed policy would have been tuned on, exactly the
+		// assumption the faults attack.
+		pol, err := dpm.NewRenewalTimeout(idleModel, costs, device.Standby, 0)
 		if err != nil {
 			return ResilienceRow{}, fmt.Errorf("resilience %s/%s: %w", sc.Name, cfg.name, err)
 		}
-		row.Scenario = sc.Name
-		row.Config = cfg.name
-		row.Drops += injected
+		var guard *policy.OverloadGuard
+		var dguard *dpm.Guard
+		res, err := RunPolicy(cfg.policy, app, ftr, pol, func(c *sim.Config) {
+			c.BufferCap = ResilienceBufferCap
+			c.Derate = derate
+			if cfg.guarded {
+				dguard = ArmGuardrails(c, app)
+				guard = c.Guard
+			}
+		})
+		if err != nil {
+			return ResilienceRow{}, fmt.Errorf("resilience %s/%s: %w", sc.Name, cfg.name, err)
+		}
+		row := ResilienceRow{
+			Scenario:  sc.Name,
+			Config:    cfg.name,
+			EnergyKJ:  units.JToKJ(res.EnergyJ),
+			Drops:     res.FramesDropped + injected,
+			PeakQueue: res.PeakQueue,
+			Trips:     res.GuardTrips,
+			SafeModeS: res.GuardEngagedS,
+			Recovered: !guard.Engaged(),
+			Vetoes:    dguard.Vetoes(),
+		}
+		if res.FramesDecoded > 0 {
+			row.MissRate = float64(res.DelayOverTarget) / float64(res.FramesDecoded)
+		}
 		return row, nil
 	})
 	if err != nil {
@@ -155,68 +180,22 @@ func ResilienceTable(ctx context.Context, seed uint64, workers int) ([]Resilienc
 	return rows, nil
 }
 
-// runResilienceCell simulates one perturbed trace under one configuration.
-// The DPM policy is fitted to the fault-free idle model (the nominal
-// conditions a deployed policy would have been tuned on — exactly the
-// assumption the faults attack).
-func runResilienceCell(tr *workload.Trace, derate []sim.PowerDerate, app App,
-	cfg resilienceConfig, idleModel stats.Distribution, costs dpm.Costs) (ResilienceRow, error) {
-	first := tr.Changes[0]
-	ctrl, err := NewController(cfg.policy, app, first.ArrivalRate, first.DecodeRateMax)
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-	var pol dpm.Policy
-	pol, err = dpm.NewRenewalTimeout(idleModel, costs, device.Standby, 0)
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-
-	var guard *policy.OverloadGuard
-	var dguard *dpm.Guard
-	if cfg.guarded {
-		guard, err = policy.NewOverloadGuard(policy.DefaultGuardConfig())
-		if err != nil {
-			return ResilienceRow{}, err
-		}
-		dguard, err = dpm.NewGuard(pol, dpm.DefaultGuardSpikeFactor, dpm.DefaultGuardHold)
-		if err != nil {
-			return ResilienceRow{}, err
-		}
-		guard.OnTrip = func(float64) { dguard.NoteSuspicion() }
-		pol = dguard
-		ctrl.ArrivalClamp = GridClamp(app.ArrivalGrid)
-		ctrl.ServiceClamp = GridClamp(app.ServiceGrid)
-	}
-
-	res, err := sim.Run(sim.Config{
-		Badge:      device.SmartBadge(),
-		Proc:       ctrl.Proc,
-		Trace:      tr,
-		Controller: ctrl,
-		DPM:        pol,
-		Kind:       app.Kind,
-		BufferCap:  ResilienceBufferCap,
-		Guard:      guard,
-		Derate:     derate,
-	})
-	if err != nil {
-		return ResilienceRow{}, err
-	}
-
-	row := ResilienceRow{
-		EnergyKJ:  units.JToKJ(res.EnergyJ),
-		Drops:     res.FramesDropped,
-		PeakQueue: res.PeakQueue,
-		Trips:     res.GuardTrips,
-		SafeModeS: res.GuardEngagedS,
-		Recovered: !guard.Engaged(),
-		Vetoes:    dguard.Vetoes(),
-	}
-	if res.FramesDecoded > 0 {
-		row.MissRate = float64(res.DelayOverTarget) / float64(res.FramesDecoded)
-	}
-	return row, nil
+// ArmGuardrails arms the graceful-degradation guardrails on a run's
+// configuration: the overload watchdog, the DPM sleep veto around cfg.DPM
+// that the watchdog alerts when it trips, and the controller's rate clamps
+// to the application's grids. A non-nil cfg.Obs instruments both guards.
+// It returns the DPM guard, whose veto count the run's report may need.
+func ArmGuardrails(cfg *sim.Config, app App) *dpm.Guard {
+	guard := policy.NewOverloadGuard()
+	dguard := dpm.NewGuard(cfg.DPM)
+	guard.OnTrip = func(float64) { dguard.NoteSuspicion() }
+	guard.Instrument(cfg.Obs)
+	dguard.Instrument(cfg.Obs)
+	cfg.Guard = guard
+	cfg.DPM = dguard
+	cfg.Controller.ArrivalClamp = GridClamp(app.ArrivalGrid)
+	cfg.Controller.ServiceClamp = GridClamp(app.ServiceGrid)
+	return dguard
 }
 
 // FormatResilienceTable renders the resilience table grouped by scenario.

@@ -46,12 +46,14 @@ type Config struct {
 	DelayWeightW float64
 	// QueueCap is K, the largest queue length modelled.
 	QueueCap int
-	// Epsilon is the relative-value-iteration stopping span (J/s).
-	// Zero selects 1e-9.
-	Epsilon float64
-	// MaxIterations bounds value iteration. Zero selects 1e6.
-	MaxIterations int
 }
+
+// Relative value iteration stops once the span of one sweep's increment
+// falls below epsilon (J/s), and gives up after maxIterations sweeps.
+const (
+	epsilon       = 1e-9
+	maxIterations = 1_000_000
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -96,17 +98,13 @@ type Policy struct {
 }
 
 // Solve runs relative value iteration and returns the optimal policy.
-func Solve(cfg Config) (*Policy, error) {
+func Solve(cfg Config) (*Policy, error) { return solve(cfg, maxIterations) }
+
+// solve is Solve with an iteration bound, which the non-convergence test
+// lowers.
+func solve(cfg Config, maxIter int) (*Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	eps := cfg.Epsilon
-	if eps == 0 {
-		eps = 1e-9
-	}
-	maxIter := cfg.MaxIterations
-	if maxIter == 0 {
-		maxIter = 1_000_000
 	}
 	nStates := cfg.QueueCap + 1
 	nActions := len(cfg.Mu)
@@ -167,12 +165,12 @@ func Solve(cfg Config) (*Policy, error) {
 		for n := 0; n < nStates; n++ {
 			v[n] = nv[n] - ref
 		}
-		if span < eps/uni {
+		if span < epsilon/uni {
 			it++
 			break
 		}
 	}
-	if span >= eps/uni && it == maxIter {
+	if span >= epsilon/uni && it == maxIter {
 		return nil, fmt.Errorf("mdp: value iteration did not converge within %d iterations (span %v)", maxIter, span*uni)
 	}
 	policy[0] = policy[1]

@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"smartbadge/internal/perfmodel"
@@ -183,10 +184,8 @@ func TestEvaluatePolicyErrors(t *testing.T) {
 
 func TestSolveConvergenceGuard(t *testing.T) {
 	cfg := sa1100Config(20, 110, 0.5, 30)
-	cfg.MaxIterations = 3
-	cfg.Epsilon = 1e-15
-	if _, err := Solve(cfg); err == nil {
-		t.Error("expected non-convergence error with 3 iterations")
+	if _, err := solve(cfg, 3); err == nil || !strings.Contains(err.Error(), "did not converge") {
+		t.Errorf("err = %v, want a non-convergence error with 3 iterations", err)
 	}
 }
 

@@ -191,16 +191,6 @@ func (t *PhaseTimer) Start() func() {
 	}
 }
 
-// Total returns the accumulated duration (0 for nil).
-func (t *PhaseTimer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Registry holds named instruments, written by one run or by many
 // concurrent ones. The zero value is not usable; create with NewRegistry. A
 // nil *Registry hands out nil instruments, whose methods are all no-ops —

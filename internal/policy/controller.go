@@ -162,7 +162,7 @@ func (c *Controller) RequiredFrequencyMHz() float64 {
 // estimated max-frequency decode rate. RequiredFrequencyMHz saturates at the
 // ladder top, so estimator divergence is invisible through it; this ratio
 // keeps growing past 1 and is the overload watchdog's divergence signal
-// (see GuardConfig.DivergeRatio). Degenerate estimates report +Inf.
+// (see OverloadGuard.ObserveDemand). Degenerate estimates report +Inf.
 func (c *Controller) DemandRatio() float64 {
 	lambdaU := c.ArrivalClamp.Clamp(c.ArrivalEst.Rate())
 	lambdaDMax := c.ServiceClamp.Clamp(c.ServiceEst.Rate())

@@ -1,73 +1,22 @@
 package policy
 
-import (
-	"fmt"
+import "smartbadge/internal/obs"
 
-	"smartbadge/internal/obs"
+// The watchdog's tuning. It trips when the buffer holds guardQueueHigh
+// frames (an order of magnitude above the paper's delay allowances), or the
+// controller's demand ratio (see Controller.DemandRatio) reaches
+// guardDivergeRatio, for guardTripAfterS: transient bursts the controller
+// absorbs on its own must not trip the fallback. It releases once the queue
+// has stayed at or below guardQueueLow for guardRecoverAfterS; the gap
+// between the two queue levels is the hysteresis band that keeps it from
+// chattering around a single threshold.
+const (
+	guardQueueHigh     = 32
+	guardQueueLow      = 4
+	guardTripAfterS    = 0.75
+	guardRecoverAfterS = 2.0
+	guardDivergeRatio  = 1.5
 )
-
-// GuardConfig parameterises the overload watchdog (OverloadGuard): the
-// graceful-degradation companion to the M/M/1 controller. The controller's
-// delay guarantee rests on its rate estimates being roughly right; under a
-// fault (an access-point outage's catch-up burst, a cross-traffic storm,
-// heavy-tailed decode stragglers) the estimates lag reality and the frame
-// buffer grows while the controller holds a mid-ladder operating point. The
-// watchdog detects that regime and forces the safe fallback — maximum
-// performance — until the backlog clears.
-type GuardConfig struct {
-	// QueueHigh is the buffer occupancy treated as overload when sustained.
-	QueueHigh int
-	// QueueLow is the occupancy at or below which recovery may begin; the
-	// QueueHigh/QueueLow gap is the hysteresis band that prevents the guard
-	// from chattering around a single threshold.
-	QueueLow int
-	// TripAfterS is how long the overload condition must persist before the
-	// guard engages: transient bursts the controller absorbs on its own must
-	// not trip the fallback.
-	TripAfterS float64
-	// RecoverAfterS is how long the queue must stay at or below QueueLow
-	// before the guard releases back to the M/M/1 setpoint.
-	RecoverAfterS float64
-	// DivergeRatio is the estimator-divergence trigger: when the controller's
-	// demand ratio (required service rate over the estimated max-frequency
-	// decode rate, uncapped — see Controller.DemandRatio) stays at or above
-	// this value for TripAfterS, the estimates are asking for more than the
-	// hardware can deliver and the guard engages. Values <= 0 disable this
-	// trigger, leaving only the queue trigger.
-	DivergeRatio float64
-}
-
-// DefaultGuardConfig returns the tuning used by the resilience experiments:
-// trip on ~32 buffered frames (an order of magnitude above the paper's delay
-// allowances) sustained for 0.75 s, recover after the queue has been back
-// under 4 frames for 2 s, and treat a sustained demand ratio of 1.5 as
-// estimator divergence.
-func DefaultGuardConfig() GuardConfig {
-	return GuardConfig{
-		QueueHigh:     32,
-		QueueLow:      4,
-		TripAfterS:    0.75,
-		RecoverAfterS: 2.0,
-		DivergeRatio:  1.5,
-	}
-}
-
-// Validate checks the configuration.
-func (c GuardConfig) Validate() error {
-	if c.QueueHigh < 1 {
-		return fmt.Errorf("policy: guard QueueHigh must be >= 1, got %d", c.QueueHigh)
-	}
-	if c.QueueLow < 0 || c.QueueLow >= c.QueueHigh {
-		return fmt.Errorf("policy: guard QueueLow %d must be in [0, QueueHigh %d)", c.QueueLow, c.QueueHigh)
-	}
-	if c.TripAfterS < 0 {
-		return fmt.Errorf("policy: guard TripAfterS must be non-negative, got %v", c.TripAfterS)
-	}
-	if c.RecoverAfterS < 0 {
-		return fmt.Errorf("policy: guard RecoverAfterS must be non-negative, got %v", c.RecoverAfterS)
-	}
-	return nil
-}
 
 // GuardStats is the watchdog's end-of-run summary.
 type GuardStats struct {
@@ -83,17 +32,25 @@ type GuardStats struct {
 	LastRecoveryS float64
 }
 
-// OverloadGuard is the overload watchdog. The simulator reports buffer
-// occupancy and controller demand through ObserveQueue/ObserveDemand at every
-// buffer-changing event and consults Engaged when selecting the operating
-// point for the next frame. All methods are safe on a nil receiver (the
-// fast path when no guardrails are configured).
+// OverloadGuard is the overload watchdog: the graceful-degradation companion
+// to the M/M/1 controller. The controller's delay guarantee rests on its
+// rate estimates being roughly right; under a fault (an access-point
+// outage's catch-up burst, a cross-traffic storm, heavy-tailed decode
+// stragglers) the estimates lag reality and the frame buffer grows while the
+// controller holds a mid-ladder operating point. The watchdog detects that
+// regime and forces the safe fallback, maximum performance, until the
+// backlog clears.
+//
+// The simulator reports buffer occupancy and controller demand through
+// ObserveQueue/ObserveDemand at every buffer-changing event and consults
+// Engaged when selecting the operating point for the next frame. All methods
+// are safe on a nil receiver (the fast path when no guardrails are
+// configured).
 //
 // The guard is deliberately time-driven rather than event-count-driven: both
 // triggers require their condition to be sustained over simulated time, so
 // the trip/recover behaviour is independent of how bursty the event stream is.
 type OverloadGuard struct {
-	cfg GuardConfig
 	// OnTrip, when non-nil, is called on every engagement — the hook that
 	// lets a DPM guard mark its idle statistics suspect without this package
 	// importing internal/dpm.
@@ -115,17 +72,9 @@ type OverloadGuard struct {
 	cClears *obs.Counter
 }
 
-// NewOverloadGuard validates the configuration and returns a disengaged guard.
-func NewOverloadGuard(cfg GuardConfig) (*OverloadGuard, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &OverloadGuard{
-		cfg:           cfg,
-		aboveSinceS:   -1,
-		divergeSinceS: -1,
-		belowSinceS:   -1,
-	}, nil
+// NewOverloadGuard returns a disengaged guard.
+func NewOverloadGuard() *OverloadGuard {
+	return &OverloadGuard{aboveSinceS: -1, divergeSinceS: -1, belowSinceS: -1}
 }
 
 // Instrument attaches observability: engagements and releases are counted and
@@ -157,11 +106,11 @@ func (g *OverloadGuard) ObserveQueue(nowS float64, queueLen int) {
 		return
 	}
 	if g.engaged {
-		if queueLen <= g.cfg.QueueLow {
+		if queueLen <= guardQueueLow {
 			if g.belowSinceS < 0 {
 				g.belowSinceS = nowS
 			}
-			if nowS-g.belowSinceS >= g.cfg.RecoverAfterS {
+			if nowS-g.belowSinceS >= guardRecoverAfterS {
 				g.release(nowS, queueLen)
 			}
 		} else {
@@ -169,11 +118,11 @@ func (g *OverloadGuard) ObserveQueue(nowS float64, queueLen int) {
 		}
 		return
 	}
-	if queueLen >= g.cfg.QueueHigh {
+	if queueLen >= guardQueueHigh {
 		if g.aboveSinceS < 0 {
 			g.aboveSinceS = nowS
 		}
-		if nowS-g.aboveSinceS >= g.cfg.TripAfterS {
+		if nowS-g.aboveSinceS >= guardTripAfterS {
 			g.trip(nowS, queueLen)
 		}
 	} else {
@@ -182,16 +131,16 @@ func (g *OverloadGuard) ObserveQueue(nowS float64, queueLen int) {
 }
 
 // ObserveDemand reports the controller's demand ratio at simulated time nowS
-// (see GuardConfig.DivergeRatio). Only meaningful while disengaged.
+// (see Controller.DemandRatio). Only meaningful while disengaged.
 func (g *OverloadGuard) ObserveDemand(nowS, demandRatio float64) {
-	if g == nil || g.engaged || g.cfg.DivergeRatio <= 0 {
+	if g == nil || g.engaged {
 		return
 	}
-	if demandRatio >= g.cfg.DivergeRatio {
+	if demandRatio >= guardDivergeRatio {
 		if g.divergeSinceS < 0 {
 			g.divergeSinceS = nowS
 		}
-		if nowS-g.divergeSinceS >= g.cfg.TripAfterS {
+		if nowS-g.divergeSinceS >= guardTripAfterS {
 			g.trip(nowS, -1)
 		}
 	} else {

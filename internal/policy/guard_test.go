@@ -11,61 +11,29 @@ import (
 	"smartbadge/internal/sa1100"
 )
 
-func TestGuardConfigValidate(t *testing.T) {
-	if err := DefaultGuardConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	cases := []struct {
-		name string
-		mod  func(*GuardConfig)
-	}{
-		{"zero QueueHigh", func(c *GuardConfig) { c.QueueHigh = 0 }},
-		{"QueueLow above QueueHigh", func(c *GuardConfig) { c.QueueLow = c.QueueHigh }},
-		{"negative QueueLow", func(c *GuardConfig) { c.QueueLow = -1 }},
-		{"negative TripAfterS", func(c *GuardConfig) { c.TripAfterS = -1 }},
-		{"negative RecoverAfterS", func(c *GuardConfig) { c.RecoverAfterS = -1 }},
-	}
-	for _, c := range cases {
-		cfg := DefaultGuardConfig()
-		c.mod(&cfg)
-		if _, err := NewOverloadGuard(cfg); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
-}
-
-// testGuardConfig is a small hand-tuned config the trip/recover tests can
-// reason about exactly.
-func testGuardConfig() GuardConfig {
-	return GuardConfig{QueueHigh: 10, QueueLow: 2, TripAfterS: 1, RecoverAfterS: 2, DivergeRatio: 1.5}
-}
-
 func TestOverloadGuardQueueTripAndRecover(t *testing.T) {
-	g, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewOverloadGuard()
 	tripped := -1.0
 	g.OnTrip = func(nowS float64) { tripped = nowS }
 
-	g.ObserveQueue(0, 15) // arms the overload trigger
-	g.ObserveQueue(0.5, 15)
+	g.ObserveQueue(0, 40) // arms the overload trigger
+	g.ObserveQueue(0.5, 40)
 	if g.Engaged() {
-		t.Fatal("tripped before TripAfterS elapsed")
+		t.Fatal("tripped before guardTripAfterS elapsed")
 	}
-	g.ObserveQueue(1.0, 15) // sustained for TripAfterS
+	g.ObserveQueue(0.75, 40) // sustained for guardTripAfterS
 	if !g.Engaged() {
 		t.Fatal("did not trip after sustained overload")
 	}
-	if tripped != 1.0 {
-		t.Errorf("OnTrip at %v, want 1.0", tripped)
+	if tripped != 0.75 {
+		t.Errorf("OnTrip at %v, want 0.75", tripped)
 	}
 
-	// Recovery: below QueueLow, sustained for RecoverAfterS.
+	// Recovery: at or below guardQueueLow, sustained for guardRecoverAfterS.
 	g.ObserveQueue(5.0, 1)
 	g.ObserveQueue(6.0, 1)
 	if !g.Engaged() {
-		t.Fatal("released before RecoverAfterS elapsed")
+		t.Fatal("released before guardRecoverAfterS elapsed")
 	}
 	g.ObserveQueue(7.0, 1)
 	if g.Engaged() {
@@ -76,21 +44,18 @@ func TestOverloadGuardQueueTripAndRecover(t *testing.T) {
 	if st.Trips != 1 || st.Engaged {
 		t.Errorf("stats = %+v, want 1 completed trip", st)
 	}
-	if st.EngagedS != 6 || st.LastRecoveryS != 6 { // tripped at 1, released at 7
-		t.Errorf("EngagedS = %v, LastRecoveryS = %v, want 6", st.EngagedS, st.LastRecoveryS)
+	if st.EngagedS != 6.25 || st.LastRecoveryS != 6.25 { // tripped at 0.75, released at 7
+		t.Errorf("EngagedS = %v, LastRecoveryS = %v, want 6.25", st.EngagedS, st.LastRecoveryS)
 	}
 }
 
 func TestOverloadGuardTransientDoesNotTrip(t *testing.T) {
-	g, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bursts shorter than TripAfterS, separated by dips: never trips.
+	g := NewOverloadGuard()
+	// Bursts shorter than guardTripAfterS, separated by dips: never trips.
 	for _, base := range []float64{0, 10, 20} {
-		g.ObserveQueue(base, 15)
-		g.ObserveQueue(base+0.9, 15)
-		g.ObserveQueue(base+0.95, 3) // dip resets the onset clock
+		g.ObserveQueue(base, 40)
+		g.ObserveQueue(base+0.7, 40)
+		g.ObserveQueue(base+0.72, 3) // dip resets the onset clock
 	}
 	if g.Engaged() {
 		t.Error("transient bursts tripped the guard")
@@ -101,19 +66,16 @@ func TestOverloadGuardTransientDoesNotTrip(t *testing.T) {
 }
 
 func TestOverloadGuardRecoveryHysteresis(t *testing.T) {
-	g, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.ObserveQueue(0, 15)
-	g.ObserveQueue(1, 15)
+	g := NewOverloadGuard()
+	g.ObserveQueue(0, 40)
+	g.ObserveQueue(1, 40)
 	if !g.Engaged() {
 		t.Fatal("setup: guard did not trip")
 	}
-	// Queue dips below QueueLow but pops back up before RecoverAfterS: the
-	// release clock must reset.
+	// Queue dips below guardQueueLow but pops back up before
+	// guardRecoverAfterS: the release clock must reset.
 	g.ObserveQueue(2.0, 1)
-	g.ObserveQueue(3.0, 8) // above QueueLow — resets
+	g.ObserveQueue(3.0, 8) // above guardQueueLow — resets
 	g.ObserveQueue(4.5, 1)
 	g.ObserveQueue(5.5, 1) // only 1 s below — not enough
 	if !g.Engaged() {
@@ -126,43 +88,32 @@ func TestOverloadGuardRecoveryHysteresis(t *testing.T) {
 }
 
 func TestOverloadGuardDivergenceTrip(t *testing.T) {
-	g, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewOverloadGuard()
 	g.ObserveDemand(0, 2.0)
 	g.ObserveDemand(0.5, 2.0)
 	if g.Engaged() {
-		t.Fatal("tripped before TripAfterS of divergence")
+		t.Fatal("tripped before guardTripAfterS of divergence")
 	}
-	g.ObserveDemand(1.0, 2.0)
+	g.ObserveDemand(0.75, 2.0)
 	if !g.Engaged() {
 		t.Fatal("sustained divergence did not trip")
 	}
 
-	// Disabled trigger: DivergeRatio <= 0 never trips on demand.
-	cfg := testGuardConfig()
-	cfg.DivergeRatio = 0
-	g2, err := NewOverloadGuard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A demand just under guardDivergeRatio never trips, however long.
+	g2 := NewOverloadGuard()
 	for tm := 0.0; tm < 10; tm++ {
-		g2.ObserveDemand(tm, 100)
+		g2.ObserveDemand(tm, 1.49)
 	}
 	if g2.Engaged() {
-		t.Error("disabled divergence trigger tripped")
+		t.Error("a demand under the divergence ratio tripped")
 	}
 
 	// A dip below the ratio resets the onset clock.
-	g3, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g3 := NewOverloadGuard()
 	g3.ObserveDemand(0, 2.0)
-	g3.ObserveDemand(0.9, 1.0) // back under — resets
+	g3.ObserveDemand(0.6, 1.0) // back under — resets
+	g3.ObserveDemand(1.0, 2.0)
 	g3.ObserveDemand(1.5, 2.0)
-	g3.ObserveDemand(2.0, 2.0)
 	if g3.Engaged() {
 		t.Error("tripped despite the divergence dipping away")
 	}
@@ -184,13 +135,10 @@ func TestOverloadGuardNilReceiver(t *testing.T) {
 func TestOverloadGuardObservability(t *testing.T) {
 	var buf bytes.Buffer
 	o := obs.New(obs.NewRegistry(), obs.NewTracer(&buf))
-	g, err := NewOverloadGuard(testGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewOverloadGuard()
 	g.Instrument(o)
-	g.ObserveQueue(0, 15)
-	g.ObserveQueue(1, 15)
+	g.ObserveQueue(0, 40)
+	g.ObserveQueue(1, 40)
 	g.ObserveQueue(2, 0)
 	g.ObserveQueue(4, 0)
 	if err := o.Tracer().Flush(); err != nil {

@@ -241,10 +241,6 @@ func (p *Processor) VoltageFor(fMHz float64) float64 {
 	return lo.VoltageV + t*(hi.VoltageV-lo.VoltageV)
 }
 
-// ActivePowerAt returns the active power (W) at ladder index i.
-// It panics if i is out of range.
-func (p *Processor) ActivePowerAt(i int) float64 { return p.Point(i).ActivePowerW }
-
 // EnergyPerCycleRatio returns the energy-per-cycle at point i relative to the
 // fastest point: (V_i/V_max)². This is the fundamental DVS gain — running the
 // same cycles at a lower voltage costs quadratically less energy.

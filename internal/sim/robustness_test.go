@@ -219,10 +219,7 @@ func burstTrace(calmRate, burstWork float64, burst, tail int) *workload.Trace {
 
 func TestOverloadGuardTripsAndRecoversEndToEnd(t *testing.T) {
 	tr := burstTrace(5, 1.0/40, 200, 300)
-	guard, err := policy.NewOverloadGuard(policy.DefaultGuardConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	guard := policy.NewOverloadGuard()
 	cfg := Config{
 		Badge:      device.SmartBadge(),
 		Proc:       sa1100.Default(),

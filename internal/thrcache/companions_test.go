@@ -75,10 +75,8 @@ func TestHitNeverTouchesCompanions(t *testing.T) {
 // TestOwnTableSurvivesASmallLRU: a fill inserts the caller's table after
 // its companions', so a one-entry LRU keeps the caller's.
 func TestOwnTableSurvivesASmallLRU(t *testing.T) {
-	c, err := New("", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Memory()
+	c.maxEntries = 1
 	cfg := gridConfig(10, 20, 40)
 	if _, err := c.Characterise(cfg, gridConfig(5, 15, 45)); err != nil {
 		t.Fatal(err)
@@ -100,14 +98,14 @@ func TestMissFillsMissingCompanionsInOnePass(t *testing.T) {
 	cfg := gridConfig(10, 20, 40)
 	inMemory, onDisk, inFlight, missing := gridConfig(5, 15, 45), gridConfig(3, 9, 27), gridConfig(4, 8, 32), gridConfig(6, 12, 36)
 
-	seed, err := New(dir, 0)
+	seed, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := seed.Characterise(onDisk); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(dir, 0)
+	c, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,7 @@ func TestJointFillServesAFreshCacheFromDisk(t *testing.T) {
 		grids = append(grids, gridConfig(rates...))
 	}
 	dir := t.TempDir()
-	c1, err := New(dir, 0)
+	c1, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +306,7 @@ func TestJointFillServesAFreshCacheFromDisk(t *testing.T) {
 	if got, want := reg.Snapshot().Counters["changepoint.characterise.draws"], float64(14*grids[0].CharacterisationWindows); got != want {
 		t.Errorf("joint fill drew %v windows, want %v (14 streams, one pass)", got, want)
 	}
-	c2, err := New(dir, 0)
+	c2, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +346,7 @@ func TestPerRatioEntryStillHits(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, filepath.Base(names[0])), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(dir, 0)
+	c, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

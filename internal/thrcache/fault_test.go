@@ -15,7 +15,7 @@ import (
 func TestOrphanTempFilesCollected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(1)
-	c1, err := New(dir, 0)
+	c1, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestOrphanTempFilesCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := New(dir, 0)
+	c2, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestOrphanTempFilesCollected(t *testing.T) {
 // plan.
 func faultedCache(t *testing.T, dir string, plan fsfault.Plan) *Cache {
 	t.Helper()
-	c, err := NewFS(fsfault.Chaos(fsfault.OS(), plan), dir, 0)
+	c, err := NewFS(fsfault.Chaos(fsfault.OS(), plan), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFaultPlansRecompute(t *testing.T) {
 			// A fresh process over the damaged directory: orphans are
 			// collected, the table is recomputed bit-identically and the
 			// store now succeeds.
-			c2, err := New(dir, 0)
+			c2, err := New(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestFaultPlansRecompute(t *testing.T) {
 func TestBitRotRejectedAndRecomputed(t *testing.T) {
 	want := reference(t, 1)
 	dir := t.TempDir()
-	c1, err := New(dir, 0)
+	c1, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestBitRotRejectedAndRecomputed(t *testing.T) {
 		t.Errorf("stats = %+v, want the rotted entry rejected and recomputed", st)
 	}
 	// The recompute re-stored a good entry: a clean cache disk-hits it.
-	c3, err := New(dir, 0)
+	c3, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@
 // null windows per ratio, the seed, and the rate grid in its given order
 // (the per-ratio RNG stream assignment follows the grid's scan order, so
 // order matters). Fields that cannot change the result — CheckInterval,
-// MinWindow, RefineAfter, Workers (characterisation is bit-identical for any
-// worker count), Obs — are deliberately excluded so they can never cause a
-// spurious miss.
+// Workers (characterisation is bit-identical for any worker count), Obs —
+// are deliberately excluded so they can never cause a spurious miss.
 //
 // # Storage and integrity
 //
@@ -94,8 +93,9 @@ import (
 // windows across grids, keeps the version.
 const FormatVersion = 1
 
-// DefaultMaxEntries bounds the in-memory LRU when the caller passes 0.
-const DefaultMaxEntries = 64
+// memEntries bounds the in-memory LRU. The five application grids and a
+// handful of ad-hoc characterisations fit with room to spare.
+const memEntries = 64
 
 // Stats counts cache outcomes since creation.
 type Stats struct {
@@ -115,8 +115,9 @@ type Stats struct {
 
 // Cache memoises Characterise results. Safe for concurrent use.
 type Cache struct {
-	fs         fsfault.FS
-	dir        string // "" = memory-only
+	fs  fsfault.FS
+	dir string // "" = memory-only
+	// maxEntries bounds the in-memory LRU: memEntries, which tests shrink.
 	maxEntries int
 
 	// characterise is changepoint.Characterise; tests replace it to gate or
@@ -142,22 +143,19 @@ type flight struct {
 }
 
 // New returns a cache backed by dir (created if missing). An empty dir makes
-// the cache memory-only. maxEntries bounds the in-memory LRU; 0 selects
-// DefaultMaxEntries.
-func New(dir string, maxEntries int) (*Cache, error) {
-	return NewFS(fsfault.OS(), dir, maxEntries)
+// the cache memory-only. The in-memory LRU holds the 64 most recently used
+// tables.
+func New(dir string) (*Cache, error) {
+	return NewFS(fsfault.OS(), dir)
 }
 
 // NewFS is New with an injectable filesystem seam — the hook the fault
 // plans use to prove the cache's degradation paths.
-func NewFS(fs fsfault.FS, dir string, maxEntries int) (*Cache, error) {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
+func NewFS(fs fsfault.FS, dir string) (*Cache, error) {
 	c := &Cache{
 		fs:           fs,
 		dir:          dir,
-		maxEntries:   maxEntries,
+		maxEntries:   memEntries,
 		characterise: changepoint.Characterise,
 		entries:      make(map[string]*list.Element),
 		order:        list.New(),
@@ -191,9 +189,9 @@ func (c *Cache) collectOrphans() {
 // Memory returns a memory-only cache (in-process memoisation with single
 // flight, no disk).
 func Memory() *Cache {
-	c, err := New("", 0)
+	c, err := New("")
 	if err != nil {
-		panic(err) // unreachable: New("" ,0) cannot fail
+		panic(err) // unreachable: New("") cannot fail
 	}
 	return c
 }
@@ -214,9 +212,9 @@ func Open(spec string) (*Cache, error) {
 		if err != nil {
 			return Memory(), nil
 		}
-		return New(filepath.Join(base, "smartbadge", "thresholds"), 0)
+		return New(filepath.Join(base, "smartbadge", "thresholds"))
 	default:
-		return New(spec, 0)
+		return New(spec)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestHitsAreBitIdentical(t *testing.T) {
 	want := fresh[0].Snapshot()
 
 	dir := t.TempDir()
-	c1, err := New(dir, 0)
+	c1, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHitsAreBitIdentical(t *testing.T) {
 
 	// A fresh Cache over the same directory must load from disk, bit
 	// identically.
-	c2, err := New(dir, 0)
+	c2, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestCorruptEntriesRejectedAndRecomputed(t *testing.T) {
 	want := fresh[0].Snapshot()
 
 	seed := t.TempDir()
-	cs, err := New(seed, 0)
+	cs, err := New(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCorruptEntriesRejectedAndRecomputed(t *testing.T) {
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := New(dir, 0)
+			c, err := New(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestCorruptEntriesRejectedAndRecomputed(t *testing.T) {
 			}
 			// The recompute must have overwritten the bad entry: a fresh
 			// cache now disk-hits.
-			c2, err := New(dir, 0)
+			c2, err := New(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,8 +239,6 @@ func TestKeyCanonicalisation(t *testing.T) {
 	inert := base
 	inert.Workers = 7
 	inert.CheckInterval = 1
-	inert.MinWindow = 5
-	inert.RefineAfter = 0
 	if k, _ := Key(inert); k != k0 {
 		t.Error("key depends on a field that cannot affect characterisation")
 	}
@@ -311,15 +309,16 @@ func TestOpenSpecs(t *testing.T) {
 	}
 }
 
-// TestLRUEviction bounds the in-memory side: with capacity 2, cycling three
-// configs evicts the least recently used, which must transparently fall back
-// to disk (not recompute) when a store is attached.
+// TestLRUEviction bounds the in-memory side: with the capacity shrunk to 2,
+// cycling three configs evicts the least recently used, which must
+// transparently fall back to disk (not recompute) when a store is attached.
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(dir, 2)
+	c, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.maxEntries = 2
 	cfgs := []changepoint.Config{testConfig(10), testConfig(11), testConfig(12)}
 	for _, cfg := range cfgs {
 		if _, err := c.Characterise(cfg); err != nil {
@@ -343,7 +342,7 @@ func TestStoreFailureDegradesGracefully(t *testing.T) {
 		t.Skip("running as root: directory permissions are not enforced")
 	}
 	dir := t.TempDir()
-	c, err := New(dir, 0)
+	c, err := New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

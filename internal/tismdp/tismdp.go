@@ -50,12 +50,9 @@ type Config struct {
 	// performance constraint as an energy-equivalent price. 0 optimises for
 	// energy alone.
 	WakePenaltyJ float64
-	// Edges are the ascending time-index edges (seconds, first edge 0).
-	// Nil selects a log-spaced default grid spanning the break-even time.
-	Edges []float64
 }
 
-// DefaultEdges builds the default time-index grid: 0 plus 60 log-spaced
+// DefaultEdges builds the time-index grid Solve uses: 0 plus 60 log-spaced
 // points from breakEven/100 to breakEven·1000.
 func DefaultEdges(breakEven float64) []float64 {
 	if breakEven <= 0 {
@@ -97,18 +94,7 @@ func Solve(cfg Config) (*Policy, error) {
 	if cfg.WakePenaltyJ < 0 {
 		return nil, fmt.Errorf("tismdp: negative wake penalty")
 	}
-	edges := cfg.Edges
-	if edges == nil {
-		edges = DefaultEdges(cfg.Costs.BreakEven())
-	}
-	if len(edges) < 2 || edges[0] != 0 {
-		return nil, fmt.Errorf("tismdp: edges must start at 0 and have >= 2 points")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, fmt.Errorf("tismdp: edges must be strictly ascending at %d", i)
-		}
-	}
+	edges := DefaultEdges(cfg.Costs.BreakEven())
 
 	n := len(edges)
 	dist := cfg.Idle

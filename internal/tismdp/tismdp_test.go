@@ -28,9 +28,6 @@ func TestSolveValidation(t *testing.T) {
 		func(c *Config) { c.Costs = dpm.Costs{} },
 		func(c *Config) { c.Target = device.Active },
 		func(c *Config) { c.WakePenaltyJ = -1 },
-		func(c *Config) { c.Edges = []float64{0.5, 1} }, // must start at 0
-		func(c *Config) { c.Edges = []float64{0} },
-		func(c *Config) { c.Edges = []float64{0, 1, 1} },
 	}
 	for i, mutate := range cases {
 		cfg := good

@@ -30,7 +30,7 @@ func TestGenerateAllocation(t *testing.T) {
 	}{
 		{"mp3", mp3, GenerateOptions{}},
 		{"mpeg", MPEGClips(), GenerateOptions{}},
-		{"gapped", gapped, GenerateOptions{Gap: stats.NewPareto(2, 1.5), LeadIn: 1}},
+		{"gapped", gapped, GenerateOptions{Gap: stats.NewPareto(2, 1.5)}},
 	}
 	for _, c := range cases {
 		bytes := uint64(math.MaxUint64)

@@ -61,8 +61,6 @@ type GenerateOptions struct {
 	// idle periods the DPM policy exploits (Table 5 scenario). Nil packs the
 	// clips back to back (Tables 3-4 scenario).
 	Gap stats.Distribution
-	// LeadIn inserts this much silence before the first frame.
-	LeadIn float64
 }
 
 // Generate produces a workload trace for the given clip list. Interarrival
@@ -75,10 +73,7 @@ func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error
 		return nil, fmt.Errorf("workload: no clips to generate")
 	}
 	tr := &Trace{Kind: clips[0].Kind, Clips: clips, Frames: make([]TraceFrame, 0, expectedFrames(clips))}
-	now := opts.LeadIn
-	if now < 0 {
-		return nil, fmt.Errorf("workload: negative lead-in %v", opts.LeadIn)
-	}
+	now := 0.0
 	for ci, clip := range clips {
 		if err := clip.Validate(); err != nil {
 			return nil, err

@@ -253,10 +253,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateWithGaps(t *testing.T) {
 	rng := stats.NewRNG(5)
 	clips, _ := MP3Sequence("ABC")
-	tr, err := Generate(rng, clips, GenerateOptions{
-		Gap:    stats.Deterministic{Value: 30},
-		LeadIn: 10,
-	})
+	tr, err := Generate(rng, clips, GenerateOptions{Gap: stats.Deterministic{Value: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +265,8 @@ func TestGenerateWithGaps(t *testing.T) {
 			t.Errorf("gap = %v, want 30", g)
 		}
 	}
-	if tr.Frames[0].Arrival < 10 {
-		t.Errorf("first arrival %v before lead-in", tr.Frames[0].Arrival)
-	}
 	// Total duration must include both gaps.
-	wantMin := 10 + clips[0].Duration() + 30 + clips[1].Duration() + 30
+	wantMin := clips[0].Duration() + 30 + clips[1].Duration() + 30
 	if tr.Duration < wantMin*0.95 {
 		t.Errorf("duration = %v, want > %v", tr.Duration, wantMin*0.95)
 	}
@@ -286,9 +280,6 @@ func TestGenerateErrors(t *testing.T) {
 	bad := Clip{Label: "x", Segments: []Segment{{Duration: 5, ArrivalRate: 30, DecodeRateMax: 10}}}
 	if _, err := Generate(rng, []Clip{bad}, GenerateOptions{}); err == nil {
 		t.Error("unsustainable clip accepted")
-	}
-	if _, err := Generate(rng, MP3Clips()[:1], GenerateOptions{LeadIn: -1}); err == nil {
-		t.Error("negative lead-in accepted")
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"smartbadge/internal/experiments"
 	"smartbadge/internal/faults"
 	"smartbadge/internal/obs"
-	"smartbadge/internal/policy"
 	"smartbadge/internal/sim"
 	"smartbadge/internal/stats"
 	"smartbadge/internal/tismdp"
@@ -396,35 +395,17 @@ func Run(opts Options) (*Result, error) {
 		}
 	}
 
-	// Guardrails arm only on faulted runs, keeping the fault-free path
-	// byte-identical; DisableGuardrails exposes the unprotected behaviour.
-	var guard *policy.OverloadGuard
-	var dguard *dpm.Guard
-	if faulted && !opts.DisableGuardrails {
-		guard, err = policy.NewOverloadGuard(policy.DefaultGuardConfig())
-		if err != nil {
-			return nil, err
-		}
-		dguard, err = dpm.NewGuard(pol, dpm.DefaultGuardSpikeFactor, dpm.DefaultGuardHold)
-		if err != nil {
-			return nil, err
-		}
-		guard.OnTrip = func(float64) { dguard.NoteSuspicion() }
-		guard.Instrument(opts.Obs)
-		dguard.Instrument(opts.Obs)
-		pol = dguard
-	}
-
 	return experiments.RunPolicy(kind, app, trace, pol, func(cfg *sim.Config) {
 		cfg.Obs = opts.Obs
 		cfg.Badge = badge
 		cfg.BufferCap = opts.BufferCap
 		cfg.RecordTimeline = opts.RecordTimeline
-		cfg.Guard = guard
 		cfg.Derate = derate
-		if guard != nil {
-			cfg.Controller.ArrivalClamp = experiments.GridClamp(app.ArrivalGrid)
-			cfg.Controller.ServiceClamp = experiments.GridClamp(app.ServiceGrid)
+		// Guardrails arm only on faulted runs, keeping the fault-free path
+		// byte-identical; DisableGuardrails exposes the unprotected
+		// behaviour.
+		if faulted && !opts.DisableGuardrails {
+			experiments.ArmGuardrails(cfg, app)
 		}
 	})
 }
