@@ -26,6 +26,7 @@ import (
 	"smartbadge/internal/experiments"
 	"smartbadge/internal/fleet"
 	"smartbadge/internal/obs"
+	"smartbadge/internal/parallel"
 	"smartbadge/internal/prof"
 	"smartbadge/internal/thrcache"
 	"smartbadge/internal/units"
@@ -245,10 +246,12 @@ func run(ctx context.Context, w io.Writer, sc sweepConfig) error {
 		fmt.Fprintf(w, "# energy_j p50=%.6f p90=%.6f p99=%.6f\n", a.EnergyP50J, a.EnergyP90J, a.EnergyP99J)
 		fmt.Fprintf(w, "# mean_delay_s p50=%.6f p90=%.6f p99=%.6f\n", a.DelayP50S, a.DelayP90S, a.DelayP99S)
 		// Throughput is timing, not result: it goes to stderr so stdout stays
-		// bit-identical across runs and worker counts.
+		// bit-identical across runs and worker counts. The worker count is
+		// the one the batch ran with: -j resolved, then clamped to the
+		// badges as fleet.RunCtx clamps it.
 		if s := elapsed.Seconds(); s > 0 {
 			fmt.Fprintf(os.Stderr, "fleet: %d runs in %.2fs (%.2f runs/sec, %d workers)\n",
-				a.Runs, s, float64(a.Runs)/s, workers)
+				a.Runs, s, float64(a.Runs)/s, min(parallel.Workers(workers), fleetN))
 		}
 		return art.Close()
 	default:

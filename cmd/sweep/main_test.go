@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"smartbadge/internal/parallel"
 )
 
 func TestRunPareto(t *testing.T) {
@@ -97,6 +100,40 @@ func TestRunFleet(t *testing.T) {
 	}
 	if err := run(context.Background(), io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, thrCache: "off"}); err == nil {
 		t.Error("zero-badge fleet accepted")
+	}
+}
+
+// TestRunFleetReportsWorkersUsed: the throughput line on stderr names the
+// workers the batch ran with — -j resolved (0 selects GOMAXPROCS), then
+// clamped to the badges — not the -j value asked for. The test swaps
+// os.Stderr, so it is not parallel.
+func TestRunFleetReportsWorkersUsed(t *testing.T) {
+	cacheDir := t.TempDir()
+	for _, c := range []struct{ j, badges, want int }{
+		{0, 1, 1},
+		{0, 2, min(parallel.Workers(0), 2)},
+		{8, 3, 3},
+		{2, 3, 2},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = f
+		err = run(context.Background(), io.Discard, sweepConfig{what: "fleet", seed: 5, workers: c.j, fleetN: c.badges, thrCache: cacheDir})
+		os.Stderr = stderr
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(", %d workers)", c.want); !strings.Contains(string(out), want) {
+			t.Errorf("-j %d, %d badges: stderr %q lacks %q", c.j, c.badges, out, want)
+		}
 	}
 }
 

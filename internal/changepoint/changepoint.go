@@ -940,11 +940,7 @@ func (d *Detector) advance(x float64) (Detection, bool) {
 				// rate, which both hides real follow-up changes and
 				// manufactures spurious ones.
 				if n < d.window.Len() {
-					post := d.window.Values()
-					d.window.Reset()
-					for _, v := range post[len(post)-n:] {
-						d.window.Push(v)
-					}
+					d.window.Keep(n)
 				}
 				d.rebuildScreen()
 				d.sinceCheck = 0
@@ -1017,18 +1013,14 @@ func (d *Detector) suffixSums(n int) []float64 {
 // rate — the threshold crossing says *that* the rate changed, the suffix
 // mean says *to what*.
 func (d *Detector) adopt(best Detection) Detection {
-	values := d.window.Values() // detections are rare; allocate only here
-	post := values[best.ChangeOffset:]
-	if len(post) >= 5 && best.MLERate > 0 {
+	post := d.window.Len() - best.ChangeOffset
+	if post >= 5 && best.MLERate > 0 {
 		if snapped := SnapRate(d.cfg.Rates, best.MLERate); snapped != d.current {
 			best.NewRate = snapped
 		}
 	}
 	d.current = best.NewRate
-	d.window.Reset()
-	for _, v := range post {
-		d.window.Push(v)
-	}
+	d.window.Keep(post)
 	d.rebuildScreen()
 	d.sinceDetect = 0
 	d.observeDetection(best)

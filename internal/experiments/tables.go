@@ -181,6 +181,12 @@ type Table5Row struct {
 // (a user sampling media), keeping the active fraction near one third so the
 // idle-time policy has real opportunity, as in the paper's description.
 func Table5Workload(seed uint64) (*workload.Trace, error) {
+	return Table5WorkloadInto(nil, seed)
+}
+
+// Table5WorkloadInto is Table5Workload generated into dst with
+// workload.GenerateInto, whose recycling contract it shares.
+func Table5WorkloadInto(dst *workload.Trace, seed uint64) (*workload.Trace, error) {
 	shorten := func(c workload.Clip, keep int) workload.Clip {
 		c.Segments = c.Segments[:keep]
 		return c
@@ -193,7 +199,7 @@ func Table5Workload(seed uint64) (*workload.Trace, error) {
 		mustMP3("E"),
 		mustMP3("B"),
 	}
-	return workload.Generate(stats.NewRNG(seed), clips, workload.GenerateOptions{
+	return workload.GenerateInto(dst, stats.NewRNG(seed), clips, workload.GenerateOptions{
 		Gap: Table5GapDistribution(),
 	})
 }

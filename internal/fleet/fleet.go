@@ -6,11 +6,14 @@
 // isolation and the batch result is bit-identical for any worker count.
 //
 // Execution is sharded, not work-stolen: worker w of W simulates badges
-// w, w+W, w+2W, … and owns one sim.Scratch recycled across its runs (energy
-// accumulators and power vectors, the simulator's per-run slices). Results
-// land in an index-addressed slice and aggregates are folded serially
-// afterwards, which is what makes the report independent of scheduling and
-// of W.
+// w, w+W, w+2W, … on one shard state recycled across its runs: a sim.Scratch
+// (energy accumulators, power vectors and the frame FIFO, the simulator's
+// per-run allocations) and the workload.Trace each badge's frames are
+// generated into. Shards take their state from a package-level pool for the
+// length of a batch, so later batches (a one-badge daemon request included)
+// reuse the capacity earlier ones grew. Results land in an index-addressed
+// slice and aggregates are folded serially afterwards, which is what makes
+// the report independent of scheduling and of W.
 //
 // fleet is part of the determinism contract (see
 // internal/analysis/detcheck): no wall clock, no ambient math/rand, no
@@ -28,6 +31,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"smartbadge/internal/device"
 	"smartbadge/internal/dpm"
@@ -279,10 +283,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 	// One task per shard (not per badge): shard s owns badges s, s+w, …,
-	// and a private Scratch recycled across them. parallel.ForEach with
+	// and a pooled state recycled across them. parallel.ForEach with
 	// n == workers runs each shard exactly once.
 	err := parallel.ForEach(ctx, w, w, func(shard int) error {
-		sc := sim.NewScratch()
+		st := shardStates.Get().(*shardState)
+		defer func() { shardStates.Put(st) }() // st may be replaced by runBadgeRecover
 		for i := shard; i < n; i += w {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -290,7 +295,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 			if done[i] {
 				continue
 			}
-			r, err := runBadgeRecover(&cfg, i, &sc)
+			r, err := runBadgeRecover(&cfg, i, &st)
 			if err != nil {
 				// Isolate the failure: record it in the index-addressed
 				// slot and keep the shard going. Failed badges are never
@@ -329,26 +334,45 @@ func RunCtx(ctx context.Context, cfg Config) (*Report, error) {
 	return &Report{Badges: ok, Failed: failed, Agg: agg}, nil
 }
 
+// shardState is what a shard recycles across its badges: the simulator's
+// scratch and the trace each badge's workload is generated into. Nothing a
+// badge returns references it (BadgeResult holds scalars), so a state may
+// serve any later badge of any batch, one badge at a time.
+type shardState struct {
+	sim   *sim.Scratch
+	trace *workload.Trace
+}
+
+func newShardState() *shardState {
+	return &shardState{sim: sim.NewScratch(), trace: &workload.Trace{}}
+}
+
+// shardStates recycles shard states across batches. It holds at most one
+// state per shard running at once, each bounded by the largest trace a fleet
+// app generates (MPEG, about 45.6k frames or 2.2 MB), and the collector
+// empties it when idle.
+var shardStates = sync.Pool{New: func() any { return newShardState() }}
+
 // runBadgeFn is the per-badge execution seam: tests swap it to inject
 // deterministic failures and panics without touching the simulator.
 var runBadgeFn = runBadge
 
 // runBadgeRecover runs one badge with panic isolation. A panicking
-// simulation may leave the shard's scratch mid-run, so the scratch is
-// replaced before the shard continues; error returns keep it (runBadge's
-// error paths never abandon a simulation half-stepped).
-func runBadgeRecover(cfg *Config, i int, sc **sim.Scratch) (r BadgeResult, err error) {
+// simulation may leave the shard's state mid-run, so the state is replaced
+// before the shard continues and never returns to the pool; error returns
+// keep it (runBadge's error paths never abandon a simulation half-stepped).
+func runBadgeRecover(cfg *Config, i int, st **shardState) (r BadgeResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			*sc = sim.NewScratch()
+			*st = newShardState()
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	return runBadgeFn(cfg, i, *sc)
+	return runBadgeFn(cfg, i, *st)
 }
 
-// runBadge simulates one badge on the given scratch.
-func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+// runBadge simulates one badge on the given shard state.
+func runBadge(cfg *Config, i int, st *shardState) (BadgeResult, error) {
 	spec := cfg.SpecFor(i)
 	rng := stats.NewRNG(cfg.Seed).SplitAt(uint64(i))
 
@@ -362,14 +386,14 @@ func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 		var clips []workload.Clip
 		clips, err = workload.MP3Sequence("ACEFBD")
 		if err == nil {
-			tr, err = workload.Generate(rng, clips, workload.GenerateOptions{})
+			tr, err = workload.GenerateInto(st.trace, rng, clips, workload.GenerateOptions{})
 		}
 		app = experiments.MP3App()
 	case "mpeg":
-		tr, err = workload.Generate(rng, workload.MPEGClips(), workload.GenerateOptions{})
+		tr, err = workload.GenerateInto(st.trace, rng, workload.MPEGClips(), workload.GenerateOptions{})
 		app = experiments.MPEGApp()
 	case "mixed":
-		tr, err = experiments.Table5Workload(rng.Uint64())
+		tr, err = experiments.Table5WorkloadInto(st.trace, rng.Uint64())
 		app = experiments.MixedApp()
 	}
 	if err != nil {
@@ -389,7 +413,7 @@ func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 	}
 
 	res, err := experiments.RunPolicy(spec.Policy, app, tr, pol, func(c *sim.Config) {
-		c.Scratch = sc
+		c.Scratch = st.sim
 	})
 	if err != nil {
 		return BadgeResult{}, err

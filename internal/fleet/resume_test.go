@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"smartbadge/internal/ckpt"
-	"smartbadge/internal/sim"
 )
 
 // memJournal is an in-memory Journal for tests that don't need a disk.
@@ -47,7 +46,7 @@ func journaled(cfg Config, j Journal) Config {
 
 // swapRunBadge installs fn as the badge execution seam and returns a
 // restore func. fn receives the real runBadge so it can delegate.
-func swapRunBadge(fn func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error)) func() {
+func swapRunBadge(fn func(cfg *Config, i int, st *shardState) (BadgeResult, error)) func() {
 	old := runBadgeFn
 	runBadgeFn = fn
 	return func() { runBadgeFn = old }
@@ -56,25 +55,45 @@ func swapRunBadge(fn func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, err
 // TestPanicIsolatedToBadgeError: a panicking badge (a bug, not a sim
 // error) must become one entry in Report.Failed — not a worker crash, not
 // a dead batch — and the partial report must stay byte-identical for any
-// worker count.
+// worker count. The panicking badge first writes its own run into the
+// shard's state; the shard's next badge must then get a new state and equal
+// a run on a fresh one bit for bit.
 func TestPanicIsolatedToBadgeError(t *testing.T) {
 	errBadge := errors.New("synthetic badge failure")
-	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+	var mu sync.Mutex
+	seen := map[int]*shardState{}
+	defer swapRunBadge(func(cfg *Config, i int, st *shardState) (BadgeResult, error) {
+		mu.Lock()
+		seen[i] = st
+		mu.Unlock()
 		switch i {
 		case 3:
+			runBadge(cfg, i, st)
 			panic("synthetic badge panic")
 		case 5:
 			return BadgeResult{}, errBadge
 		}
-		return runBadge(cfg, i, sc)
+		return runBadge(cfg, i, st)
 	})()
 
-	base, err := RunCtx(context.Background(), smallConfig(8, 1))
+	cfg := smallConfig(8, 1)
+	base, err := RunCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Badges) != 6 || len(base.Failed) != 2 {
 		t.Fatalf("survivors=%d failed=%d, want 6/2", len(base.Badges), len(base.Failed))
+	}
+	// One worker: badges 0–7 run in order on one shard.
+	if seen[2] != seen[3] || seen[4] == seen[3] {
+		t.Error("the shard's state was not replaced after the panic (and only then)")
+	}
+	fresh, err := runBadge(&cfg, 4, newShardState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := base.Badges[3]; b.Index != 4 || !reflect.DeepEqual(b, fresh) {
+		t.Errorf("badge after the panic = %+v, want the fresh run %+v", b, fresh)
 	}
 	if base.Failed[0].Index != 3 || base.Failed[1].Index != 5 {
 		t.Errorf("failed indices = %d,%d, want 3,5", base.Failed[0].Index, base.Failed[1].Index)
@@ -104,7 +123,7 @@ func TestPanicIsolatedToBadgeError(t *testing.T) {
 	}
 }
 
-// TestPanicReplacesScratch: after a badge panics, the shard's scratch may
+// TestPanicReplacesScratch: after a badge panics, the shard's state may
 // hold a half-stepped simulation — the next badge on the same shard must
 // still produce the bit-exact result, proven against an uninterrupted run.
 func TestPanicReplacesScratch(t *testing.T) {
@@ -112,13 +131,13 @@ func TestPanicReplacesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+	defer swapRunBadge(func(cfg *Config, i int, st *shardState) (BadgeResult, error) {
 		if i == 1 {
 			// Panic mid-badge, after the simulation has touched the scratch.
-			runBadge(cfg, i, sc)
+			runBadge(cfg, i, st)
 			panic("die after simulating")
 		}
-		return runBadge(cfg, i, sc)
+		return runBadge(cfg, i, st)
 	})()
 	got, err := RunCtx(context.Background(), smallConfig(4, 1)) // one shard: badges 2,3 reuse the scratch after the panic
 	if err != nil {
@@ -137,7 +156,7 @@ func TestPanicReplacesScratch(t *testing.T) {
 // TestAllBadgesFailedIsError: nothing survived, so there is nothing to
 // aggregate — that is a batch error, not an empty report.
 func TestAllBadgesFailedIsError(t *testing.T) {
-	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+	defer swapRunBadge(func(cfg *Config, i int, st *shardState) (BadgeResult, error) {
 		return BadgeResult{}, errors.New("doomed")
 	})()
 	rep, err := RunCtx(context.Background(), smallConfig(3, 2))
@@ -176,11 +195,11 @@ func TestResumeSkipsJournaledBadges(t *testing.T) {
 	}
 	var simulated []int
 	var mu sync.Mutex
-	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+	defer swapRunBadge(func(cfg *Config, i int, st *shardState) (BadgeResult, error) {
 		mu.Lock()
 		simulated = append(simulated, i)
 		mu.Unlock()
-		return runBadge(cfg, i, sc)
+		return runBadge(cfg, i, st)
 	})()
 	rep, err := RunCtx(context.Background(), journaled(smallConfig(6, 2), partial))
 	if err != nil {
@@ -245,7 +264,7 @@ func TestResumeWithCkptStore(t *testing.T) {
 	}
 	s1.Close()
 
-	defer swapRunBadge(func(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
+	defer swapRunBadge(func(cfg *Config, i int, st *shardState) (BadgeResult, error) {
 		return BadgeResult{}, fmt.Errorf("badge %d should have been restored", i)
 	})()
 	s2 := open()

@@ -70,5 +70,15 @@ func (b *Buffer) Peek() Frame {
 	return b.frames[b.head]
 }
 
-// Peak returns the maximum occupancy observed since creation.
+// Peak returns the maximum occupancy observed since creation or the last
+// Reset.
 func (b *Buffer) Peak() int { return b.peak }
+
+// Reset empties the buffer and zeroes its peak, keeping the capacity it has
+// grown so a recycled buffer (see sim.Scratch) stops reallocating once it has
+// held its deepest backlog.
+func (b *Buffer) Reset() {
+	b.frames = b.frames[:0]
+	b.head = 0
+	b.peak = 0
+}

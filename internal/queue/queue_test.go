@@ -200,3 +200,34 @@ func TestBufferCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferReset: a reset buffer is empty with a zero peak, whatever backlog
+// and dead prefix it held, and serves new frames in FIFO order with none of
+// the old ones.
+func TestBufferReset(t *testing.T) {
+	b := NewBuffer()
+	for i := 0; i < 100; i++ {
+		b.Push(Frame{Seq: i})
+	}
+	for i := 0; i < 70; i++ { // compacts once, then leaves a dead prefix
+		b.Pop()
+	}
+	b.Reset()
+	if !b.Empty() || b.Len() != 0 || b.Peak() != 0 {
+		t.Fatalf("after Reset: empty=%t len=%d peak=%d, want true/0/0", b.Empty(), b.Len(), b.Peak())
+	}
+	for i := 0; i < 3; i++ {
+		b.Push(Frame{Seq: 1000 + i})
+	}
+	if b.Len() != 3 || b.Peak() != 3 || b.Peek().Seq != 1000 {
+		t.Fatalf("after 3 pushes: len=%d peak=%d head=%d, want 3/3/1000", b.Len(), b.Peak(), b.Peek().Seq)
+	}
+	for i := 0; i < 3; i++ {
+		if f := b.Pop(); f.Seq != 1000+i {
+			t.Errorf("pop %d: seq = %d, want %d", i, f.Seq, 1000+i)
+		}
+	}
+	if !b.Empty() {
+		t.Errorf("len = %d after popping every new frame", b.Len())
+	}
+}

@@ -36,8 +36,23 @@ func mp3Config(t *testing.T, seed uint64) Config {
 // engine's per-worker state reuse: a run through a recycled Scratch — even one
 // warmed by runs of other seeds — must produce a Result bit-identical to a
 // run that allocated everything fresh.
+//
+// The scratch is first warmed on a burst whose backlog is far deeper than any
+// run after it needs, so every recycled FIFO arrives with spare capacity, a
+// dead prefix and a stale peak that New must clear.
 func TestScratchRunsBitIdentical(t *testing.T) {
 	sc := NewScratch()
+	deep, err := Run(Config{
+		Badge:      device.SmartBadge(),
+		Proc:       sa1100.Default(),
+		Trace:      burstTrace(5, 1.0/40, 200, 300),
+		Controller: idealController(t, perfmodel.MP3Curve(), 0.15, false),
+		Kind:       workload.MP3,
+		Scratch:    sc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []uint64{21, 22, 23} {
 		fresh, err := Run(mp3Config(t, seed))
 		if err != nil {
@@ -52,6 +67,10 @@ func TestScratchRunsBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(fresh, pooled) {
 			t.Errorf("seed %d: pooled run diverged from fresh run:\nfresh  %+v\npooled %+v",
 				seed, fresh, pooled)
+		}
+		if pooled.PeakQueue >= deep.PeakQueue {
+			t.Errorf("seed %d: peak queue %d is not below the warm-up burst's %d; the recycled FIFO is no deeper than the run needs",
+				seed, pooled.PeakQueue, deep.PeakQueue)
 		}
 	}
 }

@@ -120,8 +120,8 @@ type Config struct {
 	// must be non-overlapping; nil leaves the power model untouched.
 	Derate []PowerDerate
 	// Scratch, when non-nil, recycles the hot-path allocations
-	// (per-component energy accumulators, power vectors) from a previous run —
-	// the sync.Pool-style per-worker reuse the fleet batch engine
+	// (per-component energy accumulators, power vectors, the frame FIFO) from
+	// a previous run — the per-shard reuse the fleet batch engine
 	// (internal/fleet) relies on. Results are bit-identical with and without
 	// a Scratch; a Scratch must never be used by two simulations
 	// concurrently. nil allocates fresh state as always.
@@ -131,11 +131,13 @@ type Config struct {
 // Scratch holds reusable per-run simulator state. A zero Scratch is ready to
 // use; it warms up over the first run and is handed back when Run completes.
 // One Scratch serves any sequence of configurations — slices are resized to
-// the badge — but only one run at a time.
+// the badge, and the frame FIFO is emptied, its peak zeroed and its grown
+// capacity kept — but only one run at a time.
 type Scratch struct {
 	energy     []float64
 	lastEnergy []float64
 	power      [numModes][]float64
+	buffer     queue.Buffer
 }
 
 // NewScratch returns an empty scratch.
@@ -341,15 +343,16 @@ func New(cfg Config) (*Simulator, error) {
 		badge:     cfg.Badge.Components(),
 		mode:      ModeAwakeIdle,
 		appliedOp: cfg.Controller.Current(),
-		buffer:    queue.NewBuffer(),
 		curKind:   cfg.Kind,
 		derate:    derate,
 	}
 	if sc := cfg.Scratch; sc != nil {
-		// Recycle the previous run's allocations. Energy accumulators are
-		// zeroed, and power vectors of the right length are adopted as raw
-		// capacity: powerOK starts false for every mode, so modePower
-		// rebuilds each vector before its first read.
+		// Recycle the previous run's allocations. The FIFO is emptied and
+		// energy accumulators are zeroed; power vectors of the right length
+		// are adopted as raw capacity: powerOK starts false for every mode,
+		// so modePower rebuilds each vector before its first read.
+		sc.buffer.Reset()
+		s.buffer = &sc.buffer
 		s.energyComp = resizeZero(sc.energy, len(s.badge))
 		for m := range sc.power {
 			if len(sc.power[m]) == len(s.badge) {
@@ -357,6 +360,7 @@ func New(cfg Config) (*Simulator, error) {
 			}
 		}
 	} else {
+		s.buffer = queue.NewBuffer()
 		s.energyComp = make([]float64, len(s.badge))
 	}
 	s.wlanIdx, s.sramIdx, s.dramIdx = -1, -1, -1

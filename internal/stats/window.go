@@ -128,3 +128,23 @@ func (w *Window) Reset() {
 	w.head, w.count = 0, 0
 	w.psum, w.pcomp = 0, 0
 }
+
+// Keep trims the window in place to its newest n observations, as if it were
+// Reset and those observations pushed again oldest-first: the stream prefix
+// restarts at zero and each kept observation's recorded prefix is recomputed
+// with the same compensated additions a re-push performs, so SuffixSum,
+// PrefixAt, Values and later pushes match that rebuild bit for bit. It panics
+// if n is negative or exceeds Len().
+func (w *Window) Keep(n int) {
+	if n < 0 || n > w.count {
+		panic(fmt.Sprintf("stats: keep length %d out of range [0,%d]", n, w.count))
+	}
+	w.head = (w.head + w.count - n) % len(w.buf)
+	w.count = n
+	w.psum, w.pcomp = 0, 0
+	for i := 0; i < n; i++ {
+		slot := (w.head + i) % len(w.buf)
+		w.pre[slot] = w.psum + w.pcomp
+		w.psum, w.pcomp = neumaierAdd(w.psum, w.pcomp, w.buf[slot])
+	}
+}

@@ -80,6 +80,8 @@ func TestWindowOutOfRangePanics(t *testing.T) {
 		func() { w.PrefixAt(1) },
 		func() { w.SuffixSum(-1) },
 		func() { w.SuffixSum(2) },
+		func() { w.Keep(-1) },
+		func() { w.Keep(2) },
 		func() { NewWindow(0) },
 	} {
 		func() {

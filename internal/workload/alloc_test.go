@@ -11,49 +11,50 @@ import (
 
 // TestGenerateAllocation checks that Generate allocates about one trace's
 // worth of frames: the frame slice is sized up front from the expected frame
-// count, so append never copies it. Bytes are a MemStats delta around one
-// call, the least of three identical calls; the test is not parallel.
+// count, so append never copies it. It also checks that GenerateInto, once
+// its trace has held the longest case, allocates no frames at all: at most
+// 1 KiB (the MPEG GOP cycles are built per call). Bytes are a MemStats delta
+// around one call, the least of three identical calls; the test is not
+// parallel.
 func TestGenerateAllocation(t *testing.T) {
-	mp3, err := MP3Sequence("ACEFBD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gapped, err := MP3Sequence("AC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gapped = append(gapped, Football(), MP3Clips()[4])
-	cases := []struct {
-		name  string
-		clips []Clip
-		opts  GenerateOptions
-	}{
-		{"mp3", mp3, GenerateOptions{}},
-		{"mpeg", MPEGClips(), GenerateOptions{}},
-		{"gapped", gapped, GenerateOptions{Gap: stats.NewPareto(2, 1.5)}},
-	}
-	for _, c := range cases {
+	least := func(gen func() (*Trace, error)) uint64 {
 		bytes := uint64(math.MaxUint64)
-		frames := 0
 		for i := 0; i < 3; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			tr, err := Generate(stats.NewRNG(7), c.clips, c.opts)
+			_, err := gen()
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames = len(tr.Frames)
-			if d := after.TotalAlloc - before.TotalAlloc; d < bytes {
-				bytes = d
-			}
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		}
+		return bytes
+	}
+	cases := recycleCases(t)[:3] // mpeg, mp3, gapped
+	warm := &Trace{}
+	for _, c := range cases {
+		if _, err := GenerateInto(warm, stats.NewRNG(1), c.clips, c.opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range cases {
+		var tr *Trace
+		bytes := least(func() (*Trace, error) {
+			var err error
+			tr, err = Generate(stats.NewRNG(7), c.clips, c.opts)
+			return tr, err
+		})
+		frames := len(tr.Frames)
 		frameBytes := float64(frames) * float64(unsafe.Sizeof(TraceFrame{}))
 		limit := 1.3*frameBytes + 16<<10
 		t.Logf("%s: %d frames, %d bytes allocated (%.2f× the frames)", c.name, frames, bytes, float64(bytes)/frameBytes)
 		if float64(bytes) > limit {
 			t.Errorf("%s: Generate allocated %d bytes for %d frames (%.0f bytes), want at most %.0f",
 				c.name, bytes, frames, frameBytes, limit)
+		}
+		if into := least(func() (*Trace, error) { return GenerateInto(warm, stats.NewRNG(7), c.clips, c.opts) }); into > 1<<10 {
+			t.Errorf("%s: GenerateInto a warm trace allocated %d bytes, want at most 1 KiB", c.name, into)
 		}
 	}
 }

@@ -69,10 +69,34 @@ type GenerateOptions struct {
 // 1/DecodeRateMax, scaled by the clip's normalised GOP multiplier cycle.
 // Generation is deterministic for a given RNG state.
 func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error) {
+	return GenerateInto(nil, rng, clips, opts)
+}
+
+// GenerateInto is Generate writing into dst, which it overwrites and returns;
+// a nil dst gets a new Trace. The frame slice keeps dst's capacity when it
+// holds at least the expected frame count (otherwise it is allocated at that
+// count, as Generate does), and the rate-change and idle-gap slices keep
+// theirs, so a recycled trace stops allocating once it has held the longest
+// clip list. Every element is rewritten, so the result is bit-identical to
+// Generate's; only an empty IdleGaps may differ, as non-nil. Because dst's
+// slices are overwritten in place, nothing that references a previous trace
+// generated into dst may outlive the next call: a caller recycling dst keeps
+// only values computed from it. IdleModel's result is one: it holds
+// FitPareto's scalars and a weight slice of its own, never the trace's gaps.
+// On error dst's contents are unspecified.
+func GenerateInto(dst *Trace, rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error) {
 	if len(clips) == 0 {
 		return nil, fmt.Errorf("workload: no clips to generate")
 	}
-	tr := &Trace{Kind: clips[0].Kind, Clips: clips, Frames: make([]TraceFrame, 0, expectedFrames(clips))}
+	tr := dst
+	if tr == nil {
+		tr = &Trace{}
+	}
+	frames := tr.Frames[:0]
+	if hint := expectedFrames(clips); cap(frames) < hint {
+		frames = make([]TraceFrame, 0, hint)
+	}
+	*tr = Trace{Kind: clips[0].Kind, Clips: clips, Frames: frames, Changes: tr.Changes[:0], IdleGaps: tr.IdleGaps[:0]}
 	now := 0.0
 	for ci, clip := range clips {
 		if err := clip.Validate(); err != nil {
